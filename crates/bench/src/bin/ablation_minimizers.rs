@@ -1,8 +1,7 @@
 //! Ablation D: the two-level minimiser behind `EspTim` — the Espresso-style
 //! heuristic on explicit minterm covers, the same heuristic driven by the
-//! *implicit* cover representation (the SG baseline's default since the
-//! implicit-cover rework; byte-identical covers, so only the time column
-//! moves), and exact Quine–McCluskey minimisation (the component the paper
+//! *implicit* cover representation (the SG baseline's only path;
+//! byte-identical covers, so only the time column moves), and exact Quine–McCluskey minimisation (the component the paper
 //! holds responsible for the second exponent of SG-based tools). Reports
 //! literal counts and time for all three on every suite benchmark's exact
 //! on/off-sets.

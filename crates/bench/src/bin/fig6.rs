@@ -17,7 +17,8 @@ use std::time::{Duration, Instant};
 
 use si_bench::{secs, secs_opt};
 use si_stategraph::{
-    synthesize_from_sg, synthesize_from_symbolic_sg, SgEngine, SgSynthesisOptions, SymbolicSg,
+    synthesize_from_built_sg, synthesize_from_symbolic_sg, SgEngine, SgSynthesisOptions,
+    StateGraph, SymbolicSg,
 };
 use si_stg::generators::{counterflow_pipeline, muller_pipeline};
 use si_synthesis::{synthesize_from_unfolding, SynthesisOptions};
@@ -160,22 +161,17 @@ fn main() {
 }
 
 fn run_explicit_baseline(spec: &si_stg::Stg) -> (Option<Duration>, Option<usize>) {
+    // One state graph, timed together with the synthesis and then read for
+    // the state-count column (the series reaches ~1 M states, so building
+    // it twice would double the column's wall-clock).
     let start = Instant::now();
-    let outcome = synthesize_from_sg(
-        spec,
-        &SgSynthesisOptions {
-            state_budget: SG_BUDGET,
-            ..SgSynthesisOptions::default()
-        },
-    );
+    let Ok(sg) = StateGraph::build(spec, SG_BUDGET) else {
+        return (None, None);
+    };
+    let outcome = synthesize_from_built_sg(spec, &sg, &SgSynthesisOptions::default());
     let elapsed = start.elapsed();
     match outcome {
-        Ok(_) => {
-            let states = si_stategraph::StateGraph::build(spec, SG_BUDGET)
-                .map(|sg| sg.len())
-                .ok();
-            (Some(elapsed), states)
-        }
+        Ok(_) => (Some(elapsed), Some(sg.len())),
         Err(_) => (None, None),
     }
 }

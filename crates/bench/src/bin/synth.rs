@@ -23,11 +23,6 @@
 //!   --cover exact|approx   cover derivation / minimisation mode
 //!                          (default: approx; for --flow sg, `exact`
 //!                          selects exact Quine–McCluskey minimisation)
-//!   --covers implicit|explicit
-//!                          point-set representation inside the flows:
-//!                          implicit shared-subgraph diagrams (default) or
-//!                          the historical explicit cube lists — gate
-//!                          equations are byte-identical either way
 //!   --extract isop|translate
 //!                          (symbolic engine) front end deriving each
 //!                          signal's on/off sets from the reachable BDD:
@@ -114,7 +109,6 @@ struct Args {
     flow: Flow,
     engine: EngineArg,
     exact: bool,
-    implicit_covers: bool,
     extract: CoverExtraction,
     workers: Option<usize>,
     bdd_threads: Option<usize>,
@@ -127,9 +121,9 @@ struct Args {
 
 fn usage() -> &'static str {
     "Usage: synth <spec.g> [--flow sg|unfolding|auto] [--engine explicit|symbolic|auto] \
-     [--cover exact|approx] [--covers implicit|explicit] [--extract isop|translate] \
-     [--workers N] [--bdd-threads N] [--budget N] [--reorder off|sift|auto] \
-     [--order-seed adjacency|invariants] [--invert] [--lint | --lint-json]"
+     [--cover exact|approx] [--extract isop|translate] [--workers N] [--bdd-threads N] \
+     [--budget N] [--reorder off|sift|auto] [--order-seed adjacency|invariants] [--invert] \
+     [--lint | --lint-json]"
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -138,7 +132,6 @@ fn parse_args() -> Result<Args, String> {
     let mut flow = Flow::Unfolding;
     let mut engine = None;
     let mut exact = false;
-    let mut implicit_covers = true;
     let mut extract = CoverExtraction::default();
     let mut workers = None;
     let mut bdd_threads = None;
@@ -174,15 +167,6 @@ fn parse_args() -> Result<Args, String> {
                     Some("exact") => true,
                     Some("approx") => false,
                     other => return Err(format!("--cover needs exact|approx, got {other:?}")),
-                }
-            }
-            "--covers" => {
-                implicit_covers = match args.next().as_deref() {
-                    Some("implicit") => true,
-                    Some("explicit") => false,
-                    other => {
-                        return Err(format!("--covers needs implicit|explicit, got {other:?}"))
-                    }
                 }
             }
             "--extract" => {
@@ -255,7 +239,6 @@ fn parse_args() -> Result<Args, String> {
         flow,
         engine: engine.unwrap_or(EngineArg::Explicit),
         exact,
-        implicit_covers,
         extract,
         workers,
         bdd_threads,
@@ -406,7 +389,6 @@ fn run_sg(
         allow_inversion: args.invert,
         workers: args.workers,
         bdd_threads: args.bdd_threads,
-        implicit_covers: args.implicit_covers,
         extraction: args.extract,
         ..defaults
     };
@@ -443,7 +425,9 @@ fn run_sg(
                 }
             };
             let reach_time = reach_start.elapsed();
-            symbolic_stats = Some(sym.reach().stats().clone());
+            let reach = sym.reach();
+            let final_reach_nodes = reach.manager().node_count(reach.reachable());
+            symbolic_stats = Some((reach.stats().clone(), final_reach_nodes));
             // The synth phase, split so extraction (reachable BDD →
             // per-signal implicit sets) is timed apart from the
             // minimiser — the ExtTim row below.
@@ -482,7 +466,7 @@ fn run_sg(
         "reach",
         secs(reach_time)
     );
-    if let Some(stats) = &symbolic_stats {
+    if let Some((stats, final_reach_nodes)) = &symbolic_stats {
         // Pool-maintenance slices of the reach phase (already included in
         // the reach row): how much of it went to keeping the pool small.
         println!(
@@ -492,12 +476,15 @@ fn run_sg(
             stats.gc_runs,
             stats.gc_collected
         );
+        // The checkpoint pool counts garbage not yet collected; the final
+        // reachable BDD is the set the fixpoint actually built.
         println!(
-            "{:>10} {:>10}   ({} runs, peak {} live nodes)",
+            "{:>10} {:>10}   ({} runs, checkpoint pool {} nodes, final reach {} nodes)",
             "reorder",
             secs(stats.reorder_time),
             stats.reorder_runs,
-            stats.peak_live_nodes
+            stats.peak_live_nodes,
+            final_reach_nodes
         );
         // Deterministic kernel-call counters (identical at any thread
         // count — the cross-machine perf proxy) plus the schedule-dependent
@@ -552,7 +539,6 @@ fn run_unfolding(
             .budget
             .unwrap_or(SynthesisOptions::default().slice_budget),
         workers: args.workers,
-        implicit_covers: args.implicit_covers,
         ..SynthesisOptions::default()
     };
     let result = match synthesize_from_unfolding(stg, &options) {

@@ -18,7 +18,9 @@
 
 use std::time::{Duration, Instant};
 
-use si_stategraph::{synthesize_from_sg, SgEngine, SgSynthesisOptions};
+use si_stategraph::{
+    synthesize_from_built_sg, synthesize_from_sg, SgEngine, SgSynthesisOptions, StateGraph,
+};
 use si_stg::Stg;
 use si_synthesis::{synthesize_from_unfolding, CoverMode, SynthesisOptions};
 
@@ -73,18 +75,17 @@ pub fn measure(stg: &Stg, mode: CoverMode, state_budget: usize) -> TableRow {
     let result = synthesize_from_unfolding(stg, &options)
         .unwrap_or_else(|e| panic!("{} failed to synthesise: {e}", stg.name()));
 
+    // The baseline's state graph is built once: timed together with
+    // synthesis, then read for the state-count column.
     let start = Instant::now();
-    let baseline = synthesize_from_sg(
-        stg,
-        &SgSynthesisOptions {
-            state_budget,
-            ..SgSynthesisOptions::default()
-        },
-    );
+    let (baseline, states) = match StateGraph::build(stg, state_budget) {
+        Ok(sg) => (
+            synthesize_from_built_sg(stg, &sg, &SgSynthesisOptions::default()),
+            Some(sg.len()),
+        ),
+        Err(e) => (Err(e), None),
+    };
     let baseline_time = start.elapsed();
-    let states = si_stategraph::StateGraph::build(stg, state_budget)
-        .ok()
-        .map(|sg| sg.len());
 
     let start = Instant::now();
     let symbolic = synthesize_from_sg(

@@ -31,12 +31,12 @@ pub struct RefinementReport {
 /// disjoint, refinement stalls into exact fallback, or `max_steps` is
 /// reached. Atom covers are modified in place.
 ///
-/// When `pool` is provided, the offending-pair sweep runs against cached
-/// implicit atom sets (one pooled diagram per atom version, intersection
-/// emptiness in O(shared structure)) instead of the explicit quadratic cube
-/// sweep. Intersection *emptiness* is a property of the point sets, not of
-/// the cube lists, so the refinement trajectory — and therefore every cover
-/// this function produces — is identical with and without a pool.
+/// The offending-pair sweep runs against implicit atom sets cached in
+/// `pool` (one pooled diagram per atom version, intersection emptiness in
+/// O(shared structure)) rather than a quadratic sweep over the cube lists.
+/// Intersection *emptiness* is a property of the point sets, not of the
+/// cube lists, so the refinement trajectory is the one the explicit sweep
+/// would take (pinned by this module's tests).
 ///
 /// # Errors
 ///
@@ -51,22 +51,55 @@ pub fn refine_until_disjoint(
     off_atoms: &mut Vec<CoverAtom>,
     max_steps: usize,
     slice_budget: usize,
-    mut pool: Option<&mut ImplicitPool>,
+    pool: &mut ImplicitPool,
+) -> Result<RefinementReport, SynthesisError> {
+    refine_with_sweep(
+        stg,
+        unf,
+        on_slices,
+        off_slices,
+        on_atoms,
+        off_atoms,
+        max_steps,
+        slice_budget,
+        |on, off, on_sets, off_sets| offending_pair(pool, on, off, on_sets, off_sets),
+    )
+}
+
+/// Per-atom cache of pooled point sets, `None` until first needed.
+type SetCache = [Option<ImplicitCover>];
+
+/// The refinement loop behind [`refine_until_disjoint`], generic over the
+/// offending-pair sweep so the tests can replay it with an explicit
+/// reference sweep. The loop owns the per-atom set caches and clears an
+/// entry whenever its atom's cover changes (refinement) or the atom list is
+/// rebuilt (escalation).
+#[allow(clippy::too_many_arguments)]
+fn refine_with_sweep(
+    stg: &Stg,
+    unf: &StgUnfolding,
+    on_slices: &[Slice],
+    off_slices: &[Slice],
+    on_atoms: &mut Vec<CoverAtom>,
+    off_atoms: &mut Vec<CoverAtom>,
+    max_steps: usize,
+    slice_budget: usize,
+    mut sweep: impl FnMut(
+        &[CoverAtom],
+        &[CoverAtom],
+        &mut SetCache,
+        &mut SetCache,
+    ) -> Option<(usize, usize)>,
 ) -> Result<RefinementReport, SynthesisError> {
     let mut report = RefinementReport {
         steps: 0,
         exact_fallbacks: 0,
         disjoint: false,
     };
-    // Cached implicit set per atom, invalidated when the atom's cover
-    // changes (refinement) or the atom list is rebuilt (escalation).
     let mut on_sets: Vec<Option<ImplicitCover>> = vec![None; on_atoms.len()];
     let mut off_sets: Vec<Option<ImplicitCover>> = vec![None; off_atoms.len()];
     loop {
-        let pair = match pool.as_deref_mut() {
-            Some(p) => offending_pair_pooled(p, on_atoms, off_atoms, &mut on_sets, &mut off_sets),
-            None => offending_pair(on_atoms, off_atoms),
-        };
+        let pair = sweep(on_atoms, off_atoms, &mut on_sets, &mut off_sets);
         let Some((on_idx, off_idx)) = pair else {
             report.disjoint = true;
             return Ok(report);
@@ -141,28 +174,15 @@ fn reset_caches(sets: &mut Vec<Option<ImplicitCover>>, len: usize) {
     sets.resize(len, None);
 }
 
-/// Finds the first pair of atoms whose covers intersect.
-fn offending_pair(on: &[CoverAtom], off: &[CoverAtom]) -> Option<(usize, usize)> {
-    for (i, a) in on.iter().enumerate() {
-        for (j, b) in off.iter().enumerate() {
-            if a.cover.intersects(&b.cover) {
-                return Some((i, j));
-            }
-        }
-    }
-    None
-}
-
-/// The pooled twin of [`offending_pair`]: identical iteration order and
-/// identical result (emptiness of an intersection does not depend on the
-/// representation), with each atom's point set pooled once per version and
+/// Finds the first pair of atoms (on-side major, off-side minor) whose
+/// covers intersect, with each atom's point set pooled once per version and
 /// pairwise emptiness answered from the diagram's operation cache.
-fn offending_pair_pooled(
+fn offending_pair(
     pool: &mut ImplicitPool,
     on: &[CoverAtom],
     off: &[CoverAtom],
-    on_sets: &mut [Option<ImplicitCover>],
-    off_sets: &mut [Option<ImplicitCover>],
+    on_sets: &mut SetCache,
+    off_sets: &mut SetCache,
 ) -> Option<(usize, usize)> {
     for (i, a) in on.iter().enumerate() {
         let sa = *on_sets[i].get_or_insert_with(|| pool.cover_set(&a.cover));
@@ -315,7 +335,7 @@ mod tests {
             &mut off,
             100,
             100_000,
-            None,
+            &mut ImplicitPool::new(unf.signal_count()),
         )
         .expect("no budget issue");
         let w = unf.signal_count();
@@ -369,10 +389,28 @@ mod tests {
             &mut off,
             100,
             100_000,
-            None,
+            &mut ImplicitPool::new(unf.signal_count()),
         )
         .expect("no budget issue");
         assert!(!report.disjoint);
+    }
+
+    /// The reference sweep: the first intersecting pair found by a plain
+    /// quadratic walk over the explicit cube lists, ignoring the caches.
+    fn explicit_pair(
+        on: &[CoverAtom],
+        off: &[CoverAtom],
+        _: &mut SetCache,
+        _: &mut SetCache,
+    ) -> Option<(usize, usize)> {
+        for (i, a) in on.iter().enumerate() {
+            for (j, b) in off.iter().enumerate() {
+                if a.cover.intersects(&b.cover) {
+                    return Some((i, j));
+                }
+            }
+        }
+        None
     }
 
     #[test]
@@ -390,7 +428,7 @@ mod tests {
                 let mut off_a = approximate_side(&stg, &unf, &off_slices);
                 let mut on_b = on_a.clone();
                 let mut off_b = off_a.clone();
-                let explicit = refine_until_disjoint(
+                let explicit = refine_with_sweep(
                     &stg,
                     &unf,
                     &on_slices,
@@ -399,7 +437,7 @@ mod tests {
                     &mut off_a,
                     100,
                     100_000,
-                    None,
+                    explicit_pair,
                 )
                 .expect("explicit ok");
                 let mut pool = ImplicitPool::new(unf.signal_count());
@@ -412,7 +450,7 @@ mod tests {
                     &mut off_b,
                     100,
                     100_000,
-                    Some(&mut pool),
+                    &mut pool,
                 )
                 .expect("pooled ok");
                 assert_eq!(explicit, pooled, "{} report diverged", stg.name());

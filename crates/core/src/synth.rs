@@ -13,7 +13,7 @@ use si_unfolding::{check_segment_persistency, StgUnfolding, UnfoldingOptions};
 
 use crate::approx::{approximate_side, side_cover};
 use crate::error::SynthesisError;
-use crate::exact::{cover_true_within_slices, exact_side_cover, exact_side_set};
+use crate::exact::{cover_true_within_slices, exact_side_set};
 use crate::refine::{refine_until_disjoint, RefinementReport};
 use crate::slice::side_slices;
 
@@ -63,14 +63,6 @@ pub struct SynthesisOptions {
     /// uses one per available CPU. Output is bit-identical to sequential
     /// (`Some(1)`) regardless of the worker count.
     pub workers: Option<usize>,
-    /// Represent point sets implicitly (canonical shared-subgraph diagrams)
-    /// wherever the derivation touches them: exact slice enumerations stream
-    /// into the diagram instead of materialising one minterm cube per state,
-    /// the refinement sweep and the final consistency guard run as cached
-    /// diagram intersections, and exact mode minimises implicitly. Gate
-    /// equations are byte-identical with either setting (pinned by tests);
-    /// `false` keeps the original explicit cube lists end to end.
-    pub implicit_covers: bool,
 }
 
 impl Default for SynthesisOptions {
@@ -83,7 +75,6 @@ impl Default for SynthesisOptions {
             check_persistency: true,
             correctness: CorrectnessCondition::Strong,
             workers: None,
-            implicit_covers: true,
         }
     }
 }
@@ -238,57 +229,26 @@ pub fn synthesize_from_unfolding(
     let minimized = par_map(&per_signal, options.workers, |_, entry| {
         // Derivation promised disjoint covers; re-check in release builds
         // too, because minimising an inconsistent partition returns
-        // garbage.
-        match &entry.plan {
-            MinimisePlan::Explicit => {
-                // The bounded pairwise cube sweep over the explicit lists.
-                if entry.on_cover.intersects(&entry.off_cover) {
-                    return Err(inconsistent(stg, entry));
-                }
-                Ok(minimize(&entry.on_cover, &entry.off_cover))
-            }
-            MinimisePlan::ImplicitExact(sets) => {
-                // A poisoned lock only means another signal's worker
-                // panicked; this signal's pool is still internally
-                // consistent, so keep going.
-                let mut guard = match sets.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let (pool, on, off) = &mut *guard;
-                let shared = pool.intersect(*on, *off);
-                if let Some(bits) = pool.first_minterm(shared) {
-                    return Err(SynthesisError::InconsistentCovers {
-                        signal: stg.signal_name(entry.signal).to_owned(),
-                        witness: Cube::minterm(bits).to_string(),
-                    });
-                }
-                // Exact-mode sets are minterm point sets: minimise them
-                // implicitly (byte-identical to the explicit minimiser on
-                // the materialised canonical covers).
-                Ok(minimize_implicit(pool, *on, *off))
-            }
-            MinimisePlan::ImplicitGuard(sets) => {
-                // Approximate-mode covers are structural cube
-                // approximations, not minterm sets: the guard runs as one
-                // cached diagram intersection, but the cube-level minimiser
-                // must consume the covers directly so the result matches
-                // the explicit path byte for byte.
-                let mut guard = match sets.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let (pool, on, off) = &mut *guard;
-                let shared = pool.intersect(*on, *off);
-                if let Some(bits) = pool.first_minterm(shared) {
-                    return Err(SynthesisError::InconsistentCovers {
-                        signal: stg.signal_name(entry.signal).to_owned(),
-                        witness: Cube::minterm(bits).to_string(),
-                    });
-                }
-                Ok(minimize(&entry.on_cover, &entry.off_cover))
-            }
+        // garbage. A poisoned lock only means another signal's worker
+        // panicked; this signal's pool is still internally consistent, so
+        // keep going.
+        let mut guard = match entry.sets.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        let (pool, on, off) = &mut *guard;
+        let shared = pool.intersect(*on, *off);
+        if let Some(bits) = pool.first_minterm(shared) {
+            return Err(SynthesisError::InconsistentCovers {
+                signal: stg.signal_name(entry.signal).to_owned(),
+                witness: Cube::minterm(bits).to_string(),
+            });
         }
+        Ok(if entry.minterm_sets {
+            minimize_implicit(pool, *on, *off)
+        } else {
+            minimize(&entry.on_cover, &entry.off_cover)
+        })
     });
     let mut gates = Vec::with_capacity(per_signal.len());
     let (mut slices_time, mut refine_time) = (Duration::ZERO, Duration::ZERO);
@@ -319,37 +279,6 @@ pub fn synthesize_from_unfolding(
     })
 }
 
-fn inconsistent(stg: &Stg, entry: &DerivedCovers) -> SynthesisError {
-    let witness = entry
-        .on_cover
-        .intersect(&entry.off_cover)
-        .cubes()
-        .first()
-        .map(ToString::to_string)
-        .unwrap_or_default();
-    SynthesisError::InconsistentCovers {
-        signal: stg.signal_name(entry.signal).to_owned(),
-        witness,
-    }
-}
-
-/// How the minimisation stage consumes one signal's derived covers. The
-/// implicit variants carry the signal's pool and on/off sets behind a
-/// [`Mutex`] because the minimisation stage runs on shared-reference worker
-/// tasks (each signal's pool is only ever locked by its own task).
-enum MinimisePlan {
-    /// Pairwise cube guard, cube-level minimiser (`implicit_covers: false`).
-    Explicit,
-    /// Pooled guard and implicit minimisation — exact mode, where the sets
-    /// are minterm point sets and the implicit minimiser's byte-identity
-    /// guarantee applies.
-    ImplicitExact(Mutex<(ImplicitPool, ImplicitCover, ImplicitCover)>),
-    /// Pooled guard only; the cube-level minimiser still consumes the
-    /// explicit covers — approximate mode, whose covers are structural cube
-    /// approximations rather than minterm sets.
-    ImplicitGuard(Mutex<(ImplicitPool, ImplicitCover, ImplicitCover)>),
-}
-
 /// The per-signal output of the derivation stage, with the CPU time spent
 /// in its slice-building and refinement portions.
 struct DerivedCovers {
@@ -357,9 +286,45 @@ struct DerivedCovers {
     on_cover: Cover,
     off_cover: Cover,
     refinement: Option<RefinementReport>,
-    plan: MinimisePlan,
+    /// The signal's pool with its on/off point sets, for the final
+    /// consistency guard. Behind a [`Mutex`] because the minimisation stage
+    /// runs on shared-reference worker tasks (only this signal's task ever
+    /// locks it).
+    sets: Mutex<(ImplicitPool, ImplicitCover, ImplicitCover)>,
+    /// Exact mode: the sets are minterm point sets, so they are minimised
+    /// implicitly (byte-identical to the cube-level minimiser on the
+    /// materialised canonical covers). Approximate-mode covers are
+    /// structural cube approximations, not minterm sets, so the cube-level
+    /// minimiser consumes the covers directly.
+    minterm_sets: bool,
     slices: Duration,
     refine: Duration,
+}
+
+impl DerivedCovers {
+    /// Approximate-mode covers, with their point sets pooled in `pool` for
+    /// the final guard. The timing fields are zero — the caller stamps
+    /// them.
+    fn approximate(
+        signal: SignalId,
+        mut pool: ImplicitPool,
+        on_cover: Cover,
+        off_cover: Cover,
+        refinement: Option<RefinementReport>,
+    ) -> Self {
+        let on = pool.cover_set(&on_cover);
+        let off = pool.cover_set(&off_cover);
+        DerivedCovers {
+            signal,
+            on_cover,
+            off_cover,
+            refinement,
+            sets: Mutex::new((pool, on, off)),
+            minterm_sets: false,
+            slices: Duration::ZERO,
+            refine: Duration::ZERO,
+        }
+    }
 }
 
 /// Derives the final, checked on-/off-set covers for one signal.
@@ -372,9 +337,11 @@ fn derive_covers(
     let slices_start = Instant::now();
     let on_slices = side_slices(unf, signal, true);
     let off_slices = side_slices(unf, signal, false);
+    let mut pool = ImplicitPool::new(unf.signal_count());
     match options.mode {
-        CoverMode::Exact if options.implicit_covers => {
-            let mut pool = ImplicitPool::new(unf.signal_count());
+        CoverMode::Exact => {
+            // Slice codes stream straight into the diagram: no minterm cube
+            // per state is ever materialised.
             let on = exact_side_set(stg, unf, &on_slices, options.slice_budget, &mut pool)?;
             let off = exact_side_set(stg, unf, &off_slices, options.slice_budget, &mut pool)?;
             let slices = slices_start.elapsed();
@@ -386,9 +353,9 @@ fn derive_covers(
                 });
             }
             // The public covers materialise as the diagram's canonical
-            // disjoint-cube form — same point sets as the explicit path's
-            // minterm lists, but sized by the implicit representation
-            // rather than the state count.
+            // disjoint-cube form — the same point sets as
+            // `exact_side_cover`'s minterm lists, but sized by the implicit
+            // representation rather than the state count.
             let on_cover = pool.to_cover(on);
             let off_cover = pool.to_cover(off);
             Ok(DerivedCovers {
@@ -396,26 +363,8 @@ fn derive_covers(
                 on_cover,
                 off_cover,
                 refinement: None,
-                plan: MinimisePlan::ImplicitExact(Mutex::new((pool, on, off))),
-                slices,
-                refine: Duration::ZERO,
-            })
-        }
-        CoverMode::Exact => {
-            // Explicit representation end to end: one canonical minterm
-            // cube per slice state, the paper's original exact derivation.
-            let on_cover = exact_side_cover(stg, unf, &on_slices, options.slice_budget)?;
-            let off_cover = exact_side_cover(stg, unf, &off_slices, options.slice_budget)?;
-            let slices = slices_start.elapsed();
-            if on_cover.intersects(&off_cover) {
-                return Err(csc_error(stg, signal, &on_cover, &off_cover));
-            }
-            Ok(DerivedCovers {
-                signal,
-                on_cover,
-                off_cover,
-                refinement: None,
-                plan: MinimisePlan::Explicit,
+                sets: Mutex::new((pool, on, off)),
+                minterm_sets: true,
                 slices,
                 refine: Duration::ZERO,
             })
@@ -425,35 +374,22 @@ fn derive_covers(
             let mut off_atoms = approximate_side(stg, unf, &off_slices);
             let slices = slices_start.elapsed();
             let refine_start = Instant::now();
-            let mut pool = options
-                .implicit_covers
-                .then(|| ImplicitPool::new(unf.signal_count()));
             // §6 weak condition, first chance: if the raw approximations
             // intersect only inside the DC-set, skip refinement entirely
             // and keep the DC freedom for the minimiser.
             if options.correctness == CorrectnessCondition::Weak {
                 let on = side_cover(&on_atoms, unf.signal_count());
                 let off = side_cover(&off_atoms, unf.signal_count());
-                if let Some(covers) = accept_weak(
-                    stg,
-                    unf,
-                    signal,
-                    &on_slices,
-                    &off_slices,
-                    on,
-                    off,
-                    options,
-                    pool,
-                )? {
+                if let Some((on, off)) =
+                    accept_weak(stg, unf, &on_slices, &off_slices, on, off, options)
+                {
+                    let covers = DerivedCovers::approximate(signal, pool, on, off, None);
                     return Ok(DerivedCovers {
                         slices,
                         refine: refine_start.elapsed(),
                         ..covers
                     });
                 }
-                pool = options
-                    .implicit_covers
-                    .then(|| ImplicitPool::new(unf.signal_count()));
             }
             let report = refine_until_disjoint(
                 stg,
@@ -464,37 +400,20 @@ fn derive_covers(
                 &mut off_atoms,
                 options.max_refinement_steps,
                 options.slice_budget,
-                pool.as_mut(),
+                &mut pool,
             )?;
             let on = side_cover(&on_atoms, unf.signal_count());
             let off = side_cover(&off_atoms, unf.signal_count());
             if !report.disjoint {
                 return Err(csc_error(stg, signal, &on, &off));
             }
-            let plan = approx_plan(pool, &on, &off);
+            let covers = DerivedCovers::approximate(signal, pool, on, off, Some(report));
             Ok(DerivedCovers {
-                signal,
-                on_cover: on,
-                off_cover: off,
-                refinement: Some(report),
-                plan,
                 slices,
                 refine: refine_start.elapsed(),
+                ..covers
             })
         }
-    }
-}
-
-/// Builds the minimisation plan for a pair of approximate-mode covers:
-/// pools their point sets for the final guard when a pool is in play.
-fn approx_plan(pool: Option<ImplicitPool>, on: &Cover, off: &Cover) -> MinimisePlan {
-    match pool {
-        Some(mut pool) => {
-            let on_set = pool.cover_set(on);
-            let off_set = pool.cover_set(off);
-            MinimisePlan::ImplicitGuard(Mutex::new((pool, on_set, off_set)))
-        }
-        None => MinimisePlan::Explicit,
     }
 }
 
@@ -502,53 +421,28 @@ fn approx_plan(pool: Option<ImplicitPool>, on: &Cover, off: &Cover) -> MinimiseP
 /// condition: succeeds when the intersection is provably unreachable in
 /// both sides' slices (so it lies in the DC-set); the intersection is then
 /// carved out of the on-side so the minimiser sees a consistent partition.
-/// The returned entry's timing fields are zero — the caller stamps them.
-#[allow(clippy::too_many_arguments)]
 fn accept_weak(
     stg: &Stg,
     unf: &StgUnfolding,
-    signal: SignalId,
     on_slices: &[crate::slice::Slice],
     off_slices: &[crate::slice::Slice],
     on: Cover,
     off: Cover,
     options: &SynthesisOptions,
-    pool: Option<ImplicitPool>,
-) -> Result<Option<DerivedCovers>, SynthesisError> {
+) -> Option<(Cover, Cover)> {
     let x = on.intersect(&off);
     if x.is_empty() {
-        let plan = approx_plan(pool, &on, &off);
-        return Ok(Some(DerivedCovers {
-            signal,
-            on_cover: on,
-            off_cover: off,
-            refinement: None,
-            plan,
-            slices: Duration::ZERO,
-            refine: Duration::ZERO,
-        }));
+        return Some((on, off));
     }
     let within_off = cover_true_within_slices(stg, unf, off_slices, &on, options.slice_budget);
     let within_on = cover_true_within_slices(stg, unf, on_slices, &off, options.slice_budget);
     match (within_off, within_on) {
-        (Ok(false), Ok(false)) => {
-            // Intersection ⊆ DC-set: Definition 2.1 holds after carving it
-            // out of one side.
-            let on = on.subtract(&x);
-            let plan = approx_plan(pool, &on, &off);
-            Ok(Some(DerivedCovers {
-                signal,
-                on_cover: on,
-                off_cover: off,
-                refinement: None,
-                plan,
-                slices: Duration::ZERO,
-                refine: Duration::ZERO,
-            }))
-        }
+        // Intersection ⊆ DC-set: Definition 2.1 holds after carving it out
+        // of one side.
+        (Ok(false), Ok(false)) => Some((on.subtract(&x), off)),
         // Reachable conflict or budget exhaustion: fall back to the strong
         // path (refinement).
-        _ => Ok(None),
+        _ => None,
     }
 }
 
@@ -677,75 +571,34 @@ mod tests {
 
     #[test]
     fn implicit_and_explicit_representations_agree_on_suite() {
-        // The defining guarantee of `implicit_covers`: flipping the
-        // representation never changes a single byte of any gate equation,
-        // in either cover mode, on every synthesisable suite entry. In
-        // approximate mode even the pre-minimisation covers must match
-        // (identical refinement trajectory); in exact mode the covers are
-        // the same point sets in different clothes (disjoint-cube diagram
-        // paths vs minterm lists).
+        // Exact mode derives and minimises its covers as pooled diagrams.
+        // The explicit reference materialises `exact_side_cover`'s
+        // canonical minterm lists and runs the cube-level minimiser on
+        // them: on every synthesisable suite entry the covers must be the
+        // same point sets and the gates byte-identical.
+        use crate::exact::exact_side_cover;
         use si_stg::suite::synthesisable;
+        let budget = SynthesisOptions::default().slice_budget;
         for stg in synthesisable() {
-            for mode in [CoverMode::Exact, CoverMode::Approximate] {
-                let implicit = synthesize_from_unfolding(
-                    &stg,
-                    &SynthesisOptions {
-                        mode,
-                        ..SynthesisOptions::default()
-                    },
+            let result = synthesize_from_unfolding(&stg, &exact_options())
+                .unwrap_or_else(|e| panic!("{}: {e}", stg.name()));
+            let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
+            assert_eq!(result.gates.len(), stg.implementable_signals().len());
+            for gate in &result.gates {
+                let side = |value| {
+                    let slices = side_slices(&unf, gate.signal, value);
+                    exact_side_cover(&stg, &unf, &slices, budget).expect("within budget")
+                };
+                let (on, off) = (side(true), side(false));
+                assert!(gate.on_cover.covers_cover(&on) && on.covers_cover(&gate.on_cover));
+                assert!(gate.off_cover.covers_cover(&off) && off.covers_cover(&gate.off_cover));
+                assert_eq!(
+                    gate.gate.cubes(),
+                    minimize(&on, &off).cubes(),
+                    "{}: representations disagree on {}",
+                    stg.name(),
+                    gate.equation(&stg)
                 );
-                let explicit = synthesize_from_unfolding(
-                    &stg,
-                    &SynthesisOptions {
-                        mode,
-                        implicit_covers: false,
-                        ..SynthesisOptions::default()
-                    },
-                );
-                match (implicit, explicit) {
-                    (Ok(i), Ok(e)) => {
-                        assert_eq!(i.gates.len(), e.gates.len(), "{}", stg.name());
-                        for (gi, ge) in i.gates.iter().zip(&e.gates) {
-                            assert_eq!(
-                                gi.equation(&stg),
-                                ge.equation(&stg),
-                                "{} ({mode:?}): representations disagree",
-                                stg.name()
-                            );
-                            match mode {
-                                CoverMode::Approximate => {
-                                    assert_eq!(
-                                        gi.on_cover.cubes(),
-                                        ge.on_cover.cubes(),
-                                        "{}: approx trajectory diverged",
-                                        stg.name()
-                                    );
-                                    assert_eq!(gi.off_cover.cubes(), ge.off_cover.cubes());
-                                }
-                                CoverMode::Exact => {
-                                    assert!(gi.on_cover.covers_cover(&ge.on_cover));
-                                    assert!(ge.on_cover.covers_cover(&gi.on_cover));
-                                    assert!(gi.off_cover.covers_cover(&ge.off_cover));
-                                    assert!(ge.off_cover.covers_cover(&gi.off_cover));
-                                }
-                            }
-                        }
-                    }
-                    (Err(ei), Err(ee)) => {
-                        assert_eq!(
-                            std::mem::discriminant(&ei),
-                            std::mem::discriminant(&ee),
-                            "{}: {ei} vs {ee}",
-                            stg.name()
-                        );
-                    }
-                    (i, e) => panic!(
-                        "{} ({mode:?}): one representation failed: {:?} vs {:?}",
-                        stg.name(),
-                        i.err().map(|e| e.to_string()),
-                        e.err().map(|e| e.to_string())
-                    ),
-                }
             }
         }
     }

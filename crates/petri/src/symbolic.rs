@@ -165,12 +165,15 @@ pub struct SymbolicStats {
     pub gc_time: Duration,
     /// Wall-clock time spent sifting.
     pub reorder_time: Duration,
-    /// Maximum pool size observed at the between-iteration checkpoints,
-    /// after any collection/reordering that round. Checkpoints where no
-    /// collection fired still count garbage, so with
-    /// [`SymbolicOptions::gc_threshold`] `== 0` (collect every iteration)
-    /// this is the exact live peak — the smallest
-    /// [`SymbolicOptions::node_budget`] the run fits in.
+    /// Maximum *pool* size observed at the between-iteration checkpoints,
+    /// after any collection/reordering that round — despite the name, not a
+    /// live-node count. Checkpoints where no collection fired still count
+    /// garbage, so under the default [`SymbolicOptions::gc_threshold`] this
+    /// sits near the threshold even when the reachable set is a few hundred
+    /// nodes (read that size off
+    /// `manager().node_count(reachable())` instead). Only with
+    /// `gc_threshold == 0` (collect every iteration) is this the exact live
+    /// peak — the smallest [`SymbolicOptions::node_budget`] the run fits in.
     pub peak_live_nodes: usize,
     /// Deterministic operation counters: public `ite`/`exists`/`and_exists`
     /// calls issued by the run. Identical at any thread count and under any

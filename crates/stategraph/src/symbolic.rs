@@ -62,12 +62,6 @@ pub struct SymbolicTuning {
     /// equations are identical under every seed (pinned by the
     /// equivalence suites); only diagram sizes differ.
     pub order_seed: OrderSeed,
-    /// Let a structural 1-safety certificate (unary P-invariant cover,
-    /// [`si_petri::structural::certify_one_safe`]) replace the
-    /// per-iteration symbolic safety check. Sound — the certificate is a
-    /// proof — and pinned byte-identical by the equivalence suites;
-    /// `false` keeps the dynamic check for cross-checks and ablations.
-    pub safety_certificates: bool,
     /// Worker threads for the BDD kernels (`None` = serial). Purely a
     /// wall-clock knob: equations, witnesses and operation counts are
     /// identical at any thread count.
@@ -135,7 +129,6 @@ impl Default for SymbolicTuning {
             gc_threshold: base.gc_threshold,
             reorder_threshold: base.reorder_threshold,
             order_seed: OrderSeed::SignalAdjacency,
-            safety_certificates: true,
             bdd_threads: None,
             bdd_parallel_floor: None,
         }
@@ -203,10 +196,11 @@ impl SymbolicSg {
         let place_count = net.place_count();
 
         // One structural pass feeds both integrations: a full certificate
-        // lets every fixpoint below skip its symbolic 1-safety check, and
-        // its invariants seed the `PlaceInvariants` variable order.
+        // (unary P-invariant cover) is a proof of 1-safety that lets every
+        // fixpoint below skip its symbolic safety check, and its invariants
+        // seed the `PlaceInvariants` variable order.
         let certificate = certify_one_safe(net);
-        let assume_one_safe = tuning.safety_certificates && certificate.certified;
+        let assume_one_safe = certificate.certified;
         let order = variable_order(stg, tuning.order_seed, &certificate);
 
         let initial_code = match stg.initial_code() {
@@ -779,26 +773,22 @@ mod tests {
 
     #[test]
     fn invariant_seed_and_certificate_skip_preserve_state_counts() {
+        // Every spec here is certified 1-safe, so each build skips the
+        // dynamic safety check; the state counts must still match.
         for stg in [paper_fig1(), vme_read_csc(), muller_pipeline(5)] {
+            assert!(certify_one_safe(stg.net()).certified, "{}", stg.name());
             let sg = StateGraph::build(&stg, 1_000_000).expect("explicit builds");
-            for (order_seed, safety_certificates) in [
-                (OrderSeed::PlaceInvariants, true),
-                (OrderSeed::PlaceInvariants, false),
-                (OrderSeed::SignalAdjacency, false),
-            ] {
+            for order_seed in [OrderSeed::PlaceInvariants, OrderSeed::SignalAdjacency] {
                 let tuning = SymbolicTuning {
                     order_seed,
-                    safety_certificates,
                     ..SymbolicTuning::with_budget(BUDGET)
                 };
                 let sym = SymbolicSg::build(&stg, &tuning).expect("symbolic builds");
                 assert_eq!(
                     sym.state_count(),
                     sg.len() as u128,
-                    "{} under {:?}/certificates={}",
-                    stg.name(),
-                    order_seed,
-                    safety_certificates
+                    "{} under {order_seed:?}",
+                    stg.name()
                 );
                 assert_eq!(sym.initial_code(), sg.initial_code(), "{}", stg.name());
             }
@@ -808,7 +798,7 @@ mod tests {
     #[test]
     fn unsafe_net_still_rejected_without_certificate() {
         // Two tokens on one cycle: not 1-safe, so no certificate exists and
-        // the dynamic check must still fire regardless of the tuning flag.
+        // the dynamic check must still fire.
         let mut b = StgBuilder::new();
         let a = b.input("a");
         let ap = b.rise(a);

@@ -5,19 +5,17 @@
 //! are derived from the explicit state graph and minimised with the
 //! Espresso-style optimiser. The state graph itself is still explicit (that
 //! is the point of the paper's unfolding-based alternative), but the on/off
-//! sets default to the *implicit* cover representation
-//! ([`ImplicitOnOffSets`]): states are accumulated into canonical
-//! disjoint-cube sets during one classification sweep, states identical on
-//! a signal's support collapse into shared diagram structure, and the
-//! minimiser phases run against the implicit sets — with gate equations
-//! byte-identical to the historical explicit-minterm path
-//! ([`SgSynthesisOptions::implicit_covers`] = `false`).
+//! sets use the *implicit* cover representation ([`ImplicitOnOffSets`]):
+//! states are accumulated into canonical disjoint-cube sets during one
+//! classification sweep, states identical on a signal's support collapse
+//! into shared diagram structure, and the minimiser phases run against the
+//! implicit sets — with gate equations byte-identical to minimising the
+//! explicit minterm covers of [`on_off_sets`] (pinned by the equivalence
+//! tests).
 
 use si_cubes::implicit::{ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::par::par_map;
-use si_cubes::{
-    minimize, minimize_exact, minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget,
-};
+use si_cubes::{minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget};
 use si_stg::{Polarity, SignalId, SignalTransition, Stg};
 
 use si_bdd::ReorderPolicy;
@@ -393,14 +391,6 @@ pub struct SgSynthesisOptions {
     /// minimisation; `None` uses one per available CPU. Output is
     /// bit-identical to sequential (`Some(1)`) regardless of the count.
     pub workers: Option<usize>,
-    /// Represent each signal's on/off-sets implicitly (canonical
-    /// disjoint-cube sets) instead of one materialised minterm per state,
-    /// and run the minimiser phases against the implicit sets. Gate
-    /// equations are byte-identical either way (pinned by the equivalence
-    /// tests); the implicit path just stops paying the full state count per
-    /// signal. `false` keeps the historical explicit-minterm path for
-    /// cross-checks and ablations.
-    pub implicit_covers: bool,
     /// Structural heuristic seeding the symbolic engine's static variable
     /// order (ignored by the explicit engine). Gate equations are
     /// byte-identical under every seed (pinned by the equivalence tests);
@@ -433,7 +423,6 @@ impl Default for SgSynthesisOptions {
             allow_inversion: false,
             exact_minimization: false,
             workers: None,
-            implicit_covers: true,
             symbolic_order_seed: tuning.order_seed,
             extraction: CoverExtraction::default(),
             bdd_threads: None,
@@ -537,73 +526,23 @@ pub fn check_implementable(stg: &Stg) -> Result<Vec<SignalId>, SgError> {
 
 /// Like [`synthesize_from_sg`] but reuses an already built state graph
 /// (exposing the intermediate result per C-INTERMEDIATE).
+///
+/// One shared classification sweep over the SG feeds every signal's
+/// implicit set construction, CSC check and minimisation, so the
+/// per-signal cost tracks the implicit representation size instead of the
+/// state count.
+///
+/// # Errors
+///
+/// * [`SgError::CscViolation`] if some signal's on- and off-sets share a
+///   code;
+/// * [`SgError::ConstantSignal`] if an implementable signal never changes.
 pub fn synthesize_from_built_sg(
     stg: &Stg,
     sg: &StateGraph,
     options: &SgSynthesisOptions,
 ) -> Result<SgSynthesis, SgError> {
     let signals = check_implementable(stg)?;
-    if options.implicit_covers {
-        return synthesize_implicit(stg, sg, &signals, options);
-    }
-    // One worker task per signal: derive the exact on/off-sets, check the
-    // partition (the release-build guard against minimising overlapping
-    // covers), minimise. Results come back in signal order, so both the
-    // gate list and the first-error semantics match the sequential loop.
-    let results = par_map(&signals, options.workers, |_, &signal| {
-        let sets = on_off_sets(stg, sg, signal);
-        if sets.on.intersects(&sets.off) {
-            let witness = sets
-                .on
-                .intersect(&sets.off)
-                .cubes()
-                .first()
-                .map(ToString::to_string)
-                .unwrap_or_default();
-            return Err(SgError::CscViolation {
-                signal: stg.signal_name(signal).to_owned(),
-                code: witness,
-            });
-        }
-        let run_minimize = |on: &Cover, off: &Cover| {
-            if options.exact_minimization {
-                minimize_exact(on, off, &QmBudget::default()).unwrap_or_else(|| minimize(on, off))
-            } else {
-                minimize(on, off)
-            }
-        };
-        let on_impl = run_minimize(&sets.on, &sets.off);
-        let (cover, inverted) = if options.allow_inversion {
-            let off_impl = run_minimize(&sets.off, &sets.on);
-            if off_impl.literal_count() < on_impl.literal_count() {
-                (off_impl, true)
-            } else {
-                (on_impl, false)
-            }
-        } else {
-            (on_impl, false)
-        };
-        Ok(GateImplementation {
-            signal,
-            cover,
-            inverted,
-        })
-    });
-    let gates = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    Ok(SgSynthesis { gates })
-}
-
-/// The implicit-cover synthesis path: one shared classification sweep over
-/// the SG, then per-signal implicit set construction, CSC check, and
-/// minimisation — gate-equation-identical to the explicit path, but the
-/// per-signal cost tracks the implicit representation size instead of the
-/// state count.
-fn synthesize_implicit(
-    stg: &Stg,
-    sg: &StateGraph,
-    signals: &[SignalId],
-    options: &SgSynthesisOptions,
-) -> Result<SgSynthesis, SgError> {
     let class = SgClassification::build(stg, sg);
     // One shared pool for every signal's set construction: states shared
     // between signals collapse into diagram structure once instead of
@@ -725,8 +664,51 @@ fn implement_implicit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use si_cubes::{minimize, minimize_exact};
     use si_stg::generators::{muller_pipeline, sequencer};
     use si_stg::suite::{paper_fig1, vme_read_csc, vme_read_no_csc};
+
+    /// The explicit-minterm reference flow: minimise each signal's
+    /// [`on_off_sets`] cube lists directly, with the library's inversion
+    /// rule and exact-minimisation fallback, or report the first signal's
+    /// first shared cube as the CSC witness.
+    fn explicit_reference(
+        stg: &Stg,
+        exact_minimization: bool,
+        allow_inversion: bool,
+    ) -> Result<Vec<GateImplementation>, SgError> {
+        let sg = StateGraph::build(stg, 100_000).expect("builds");
+        let run = |on: &Cover, off: &Cover| {
+            if exact_minimization {
+                minimize_exact(on, off, &QmBudget::default()).unwrap_or_else(|| minimize(on, off))
+            } else {
+                minimize(on, off)
+            }
+        };
+        stg.implementable_signals()
+            .into_iter()
+            .map(|signal| {
+                let sets = on_off_sets(stg, &sg, signal);
+                if let Some(code) = sets.on.intersect(&sets.off).cubes().first() {
+                    return Err(SgError::CscViolation {
+                        signal: stg.signal_name(signal).to_owned(),
+                        code: code.to_string(),
+                    });
+                }
+                let on_impl = run(&sets.on, &sets.off);
+                let off_impl = allow_inversion.then(|| run(&sets.off, &sets.on));
+                let (cover, inverted) = match off_impl {
+                    Some(off) if off.literal_count() < on_impl.literal_count() => (off, true),
+                    _ => (on_impl, false),
+                };
+                Ok(GateImplementation {
+                    signal,
+                    cover,
+                    inverted,
+                })
+            })
+            .collect()
+    }
 
     #[test]
     fn engine_default_is_explicit() {
@@ -838,17 +820,10 @@ mod tests {
                         },
                     )
                     .expect("implicit ok");
-                    let explicit = synthesize_from_sg(
-                        &stg,
-                        &SgSynthesisOptions {
-                            exact_minimization,
-                            allow_inversion,
-                            implicit_covers: false,
-                            ..Default::default()
-                        },
-                    )
-                    .expect("explicit ok");
-                    for (a, b) in implicit.gates.iter().zip(&explicit.gates) {
+                    let explicit = explicit_reference(&stg, exact_minimization, allow_inversion)
+                        .expect("explicit ok");
+                    assert_eq!(implicit.gates.len(), explicit.len(), "{}", stg.name());
+                    for (a, b) in implicit.gates.iter().zip(&explicit) {
                         assert_eq!(
                             a.equation(&stg),
                             b.equation(&stg),
@@ -866,14 +841,7 @@ mod tests {
     fn csc_violation_witness_identical_across_paths() {
         let stg = vme_read_no_csc();
         let implicit = synthesize_from_sg(&stg, &SgSynthesisOptions::default()).unwrap_err();
-        let explicit = synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                implicit_covers: false,
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
+        let explicit = explicit_reference(&stg, false, false).unwrap_err();
         assert_eq!(implicit, explicit, "witness code or signal differs");
     }
 
@@ -881,18 +849,19 @@ mod tests {
     fn budget_exhaustion_is_an_error_in_both_paths() {
         // Exceeding the state budget mid-traversal must surface as an
         // `SgError`, never a partial state graph silently synthesised into
-        // a wrong gate.
+        // a wrong gate — through the one-call flow and through the
+        // build-then-synthesise split alike.
         let stg = muller_pipeline(8);
-        for implicit_covers in [true, false] {
-            let err = synthesize_from_sg(
-                &stg,
-                &SgSynthesisOptions {
-                    state_budget: 100,
-                    implicit_covers,
-                    ..Default::default()
-                },
-            )
-            .unwrap_err();
+        let options = SgSynthesisOptions {
+            state_budget: 100,
+            ..Default::default()
+        };
+        let split = StateGraph::build(&stg, options.state_budget)
+            .and_then(|sg| synthesize_from_built_sg(&stg, &sg, &options));
+        for err in [
+            synthesize_from_sg(&stg, &options).unwrap_err(),
+            split.unwrap_err(),
+        ] {
             assert!(
                 matches!(
                     err,

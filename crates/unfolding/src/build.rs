@@ -12,7 +12,6 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 use si_cubes::par::par_map;
-use si_petri::structural::{non_repeatable_transitions, Incidence};
 use si_petri::{BitSet, Marking, PlaceId, TransitionId};
 use si_stg::{BinaryCode, SignalTransition, Stg};
 
@@ -50,17 +49,6 @@ pub struct UnfoldingOptions {
     /// available CPU). Output is byte-identical at any worker count; small
     /// searches run inline regardless.
     pub workers: Option<usize>,
-    /// Skip the cutoff-representative hash lookup for transitions that lie
-    /// outside every T-invariant **and** can occur at most once in the whole
-    /// unfolding (the `prunable_transitions` criterion in the builder).
-    /// For such an instance `e` the lookup provably
-    /// misses — a hit would require an earlier configuration with the same
-    /// final marking, whose Parikh difference to `⌈e⌉` would be a T-invariant
-    /// using `e`'s transition — so skipping it cannot change cutoff
-    /// decisions, the representative map, or any error: the segment stays
-    /// byte-identical (pinned by tests). Purely a constant-factor saving on
-    /// terminating/acyclic portions of a spec; default `true`.
-    pub prune_non_repeatable: bool,
 }
 
 impl Default for UnfoldingOptions {
@@ -69,7 +57,6 @@ impl Default for UnfoldingOptions {
             order: AdequateOrder::McMillan,
             event_budget: 200_000,
             workers: None,
-            prune_non_repeatable: true,
         }
     }
 }
@@ -214,11 +201,6 @@ impl StgUnfolding {
             None => vec![None; n],
         };
 
-        let skip_rep = if options.prune_non_repeatable {
-            prunable_transitions(stg)
-        } else {
-            vec![false; net.transition_count()]
-        };
         let mut builder = Builder {
             stg,
             events: Vec::new(),
@@ -231,7 +213,6 @@ impl StgUnfolding {
             order: options.order,
             budget: options.event_budget,
             workers: options.workers,
-            skip_rep,
             v0: &mut v0,
         };
         builder.add_root()?;
@@ -291,80 +272,7 @@ struct Builder<'a> {
     order: AdequateOrder,
     budget: usize,
     workers: Option<usize>,
-    /// Per-transition: the `reps` lookup is a guaranteed miss and may be
-    /// skipped (see [`prunable_transitions`]). Insertion is never skipped.
-    skip_rep: Vec<bool>,
     v0: &'a mut Vec<Option<bool>>,
-}
-
-/// Transitions whose cutoff-representative **lookup** is a guaranteed miss,
-/// so [`UnfoldingOptions::prune_non_repeatable`] may skip it.
-///
-/// `t` qualifies when both hold:
-///
-/// 1. **Non-repeatable** — `t` lies outside the support of every T-invariant
-///    basis vector, so every vector of the rational nullspace of the
-///    incidence matrix `C` has a zero in `t`'s coordinate.
-/// 2. **Unique-instance** — the unfolding can contain at most one instance
-///    of `t`, by the least fixpoint of: a place is *uniquely conditioned*
-///    iff it has no producers, or it is initially unmarked with exactly one
-///    producer that is itself unique-instance; `t` is *unique-instance* iff
-///    its preset is nonempty and every preset place is uniquely conditioned.
-///
-/// Why the lookup must miss for an instance `e` of such a `t`: a hit would
-/// mean some earlier stored configuration `C₂` satisfies
-/// `Mark(C₂) = Mark(⌈e⌉)`, so the Parikh difference `x` solves `C·x = 0`
-/// and lies in the nullspace span — by (1) `x_t = 0`, hence `C₂` contains a
-/// `t`-instance; by (2) that instance is `e` itself, which cannot be in a
-/// configuration stored before `e` existed. (The initial-marking entry for
-/// `⊥` is covered too: there `x_t = 1 ≠ 0`.) With the lookup a guaranteed
-/// miss, skipping it changes neither cutoff decisions, nor the code-match
-/// error check, nor — since insertion is never skipped — the `reps` map.
-fn prunable_transitions(stg: &Stg) -> Vec<bool> {
-    let net = stg.net();
-    let Some(non_rep) = non_repeatable_transitions(&Incidence::of(net)) else {
-        return vec![false; net.transition_count()];
-    };
-    let mut non_repeatable = vec![false; net.transition_count()];
-    for t in non_rep {
-        non_repeatable[t.index()] = true;
-    }
-    let initial = net.initial_marking();
-    let mut place_unique = vec![false; net.place_count()];
-    let mut trans_unique = vec![false; net.transition_count()];
-    loop {
-        let mut changed = false;
-        for p in net.places() {
-            if place_unique[p.index()] {
-                continue;
-            }
-            let producers = net.place_preset(p);
-            let unique = producers.is_empty()
-                || (!initial.contains(p)
-                    && producers.len() == 1
-                    && trans_unique[producers[0].index()]);
-            if unique {
-                place_unique[p.index()] = true;
-                changed = true;
-            }
-        }
-        for t in net.transitions() {
-            if trans_unique[t.index()] {
-                continue;
-            }
-            let preset = net.preset(t);
-            if !preset.is_empty() && preset.iter().all(|&p| place_unique[p.index()]) {
-                trans_unique[t.index()] = true;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-    (0..net.transition_count())
-        .map(|i| non_repeatable[i] && trans_unique[i])
-        .collect()
 }
 
 impl Builder<'_> {
@@ -532,41 +440,32 @@ impl Builder<'_> {
             }
         }
 
-        // Cutoff decision plus the marking/code agreement check. For
-        // prunable transitions the lookup is a guaranteed miss (see
-        // `prunable_transitions`), so it is skipped outright; the
-        // representative *insertion* below still happens.
-        let cutoff = if self.skip_rep[cand.transition.index()] {
-            false
-        } else {
-            match self.reps.get(&marking) {
-                Some(&rep) => {
-                    let rep_ev = &self.events[rep.index()];
-                    let mut rep_code_matches = true;
-                    for (sig, bit) in rep_ev.parity.iter() {
-                        if parity.get(sig) != bit {
-                            rep_code_matches = false;
-                            break;
-                        }
-                    }
-                    if !rep_code_matches {
-                        return Err(UnfoldError::Inconsistent {
-                            signal: stg.signal_name(label.signal).to_owned(),
-                            transition: stg.transition_label_string(cand.transition),
-                            detail: "two configurations reach the same marking with \
-                                 different binary codes"
-                                .to_owned(),
-                        });
-                    }
-                    match self.order {
-                        AdequateOrder::McMillan => rep_ev.size < size,
-                        AdequateOrder::ErvLex => {
-                            (rep_ev.size, &rep_ev.parikh) < (size, &cand.parikh)
-                        }
+        // Cutoff decision plus the marking/code agreement check.
+        let cutoff = match self.reps.get(&marking) {
+            Some(&rep) => {
+                let rep_ev = &self.events[rep.index()];
+                let mut rep_code_matches = true;
+                for (sig, bit) in rep_ev.parity.iter() {
+                    if parity.get(sig) != bit {
+                        rep_code_matches = false;
+                        break;
                     }
                 }
-                None => false,
+                if !rep_code_matches {
+                    return Err(UnfoldError::Inconsistent {
+                        signal: stg.signal_name(label.signal).to_owned(),
+                        transition: stg.transition_label_string(cand.transition),
+                        detail: "two configurations reach the same marking with \
+                                 different binary codes"
+                            .to_owned(),
+                    });
+                }
+                match self.order {
+                    AdequateOrder::McMillan => rep_ev.size < size,
+                    AdequateOrder::ErvLex => (rep_ev.size, &rep_ev.parikh) < (size, &cand.parikh),
+                }
             }
+            None => false,
         };
 
         // Register the event.
@@ -1066,89 +965,6 @@ mod tests {
             StgUnfolding::build(&stg, &UnfoldingOptions::default()),
             Err(UnfoldError::DummyTransitions)
         ));
-    }
-
-    /// A terminating two-phase spec: marked `start` drives `x+ → x−` into a
-    /// sink place, alongside a live `y` cycle so the STG still has cyclic
-    /// behaviour. The chain transitions lie outside every T-invariant and
-    /// can occur once each.
-    fn chain_beside_cycle() -> si_stg::Stg {
-        let mut b = StgBuilder::new();
-        let x = b.input("x");
-        let y = b.output("y");
-        let x_p = b.rise(x);
-        let x_m = b.fall(x);
-        let start = b.place("start");
-        let mid = b.place("mid");
-        let done = b.place("done");
-        b.arc_pt(start, x_p);
-        b.arc_tp(x_p, mid);
-        b.arc_pt(mid, x_m);
-        b.arc_tp(x_m, done);
-        b.mark(start);
-        let y_p = b.rise(y);
-        let y_m = b.fall(y);
-        b.arc_tt(y_p, y_m);
-        let back = b.arc_tt(y_m, y_p);
-        b.mark(back);
-        b.initial_all_zero();
-        b.must_build()
-    }
-
-    #[test]
-    fn terminating_chain_is_prunable() {
-        let stg = chain_beside_cycle();
-        let skip = prunable_transitions(&stg);
-        let net = stg.net();
-        let by_label: Vec<(String, bool)> = net
-            .transitions()
-            .map(|t| (stg.transition_label_string(t), skip[t.index()]))
-            .collect();
-        // The one-shot chain is prunable; the y cycle repeats, so it is not.
-        for (label, prunable) in &by_label {
-            let expected = label.starts_with('x');
-            assert_eq!(prunable, &expected, "transition {label}");
-        }
-        assert!(by_label.iter().filter(|(_, s)| *s).count() == 2);
-    }
-
-    #[test]
-    fn pruning_does_not_change_the_segment() {
-        let specs = [
-            paper_fig1(),
-            muller_pipeline(5),
-            sequencer(4),
-            chain_beside_cycle(),
-        ];
-        for stg in &specs {
-            for order in [AdequateOrder::McMillan, AdequateOrder::ErvLex] {
-                let on = StgUnfolding::build(
-                    stg,
-                    &UnfoldingOptions {
-                        order,
-                        prune_non_repeatable: true,
-                        ..Default::default()
-                    },
-                )
-                .expect("builds");
-                let off = StgUnfolding::build(
-                    stg,
-                    &UnfoldingOptions {
-                        order,
-                        prune_non_repeatable: false,
-                        ..Default::default()
-                    },
-                )
-                .expect("builds");
-                assert_eq!(on.event_count(), off.event_count());
-                for (a, b) in on.events().zip(off.events()) {
-                    assert_eq!(on.transition(a), off.transition(b));
-                    assert_eq!(on.preset(a), off.preset(b));
-                    assert_eq!(on.is_cutoff(a), off.is_cutoff(b));
-                    assert_eq!(on.code(a), off.code(b));
-                }
-            }
-        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use si_synth::stg::generators::{muller_pipeline, sequencer, wide_arbiter};
 use si_synth::stg::suite::{paper_fig4ab, request_mux, vme_read_csc, vme_read_no_csc};
 use si_synth::stg::Stg;
 use si_synth::synthesis::{synthesize_from_unfolding, SynthesisOptions};
+use si_synth::unfolding::{StgUnfolding, UnfoldingOptions};
 
 fn sg_fingerprint(stg: &Stg, options: &SgSynthesisOptions) -> String {
     let result = synthesize_from_sg(stg, options).expect("synthesis succeeds");
@@ -73,10 +74,8 @@ fn sg_parallel_output_is_byte_identical_to_sequential() {
 
 #[test]
 fn unfolding_parallel_output_is_byte_identical_to_sequential() {
-    // In the default (approximate) mode the cover representation is a pure
-    // performance knob too: implicit diagrams and explicit cube lists must
-    // agree not just on the gates but on the full fingerprint (refined
-    // on/off covers included), at every worker count.
+    // Not just the gates: the full fingerprint (refined on/off covers
+    // included) must agree at every worker count.
     for stg in [muller_pipeline(4), paper_fig4ab(), vme_read_csc()] {
         let sequential = unfolding_fingerprint(
             &stg,
@@ -85,96 +84,60 @@ fn unfolding_parallel_output_is_byte_identical_to_sequential() {
                 ..Default::default()
             },
         );
-        for implicit_covers in [true, false] {
-            for workers in [None, Some(2), Some(4)] {
-                let parallel = unfolding_fingerprint(
-                    &stg,
-                    &SynthesisOptions {
-                        workers,
-                        implicit_covers,
-                        ..Default::default()
-                    },
-                );
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "{}: workers={workers:?} implicit={implicit_covers} diverged from sequential",
-                    stg.name()
-                );
-            }
+        for workers in [None, Some(2), Some(4)] {
+            let parallel = unfolding_fingerprint(
+                &stg,
+                &SynthesisOptions {
+                    workers,
+                    ..Default::default()
+                },
+            );
+            assert_eq!(
+                sequential,
+                parallel,
+                "{}: workers={workers:?} diverged from sequential",
+                stg.name()
+            );
         }
     }
 }
 
 #[test]
 fn exact_mode_gates_are_identical_across_representations_and_workers() {
-    // Exact mode stores its pre-minimisation covers in representation
-    // native form (disjoint diagram paths vs canonical minterms), so only
-    // the minimised gates — the actual output — are compared here.
+    // Exact mode derives and minimises pooled diagrams; at every worker
+    // count its gates must equal the explicit reference: each signal's
+    // canonical minterm covers (`exact_side_cover`) through the cube-level
+    // minimiser.
+    use si_synth::cubes::{minimize, Cover};
+    use si_synth::synthesis::exact::exact_side_cover;
+    use si_synth::synthesis::slice::side_slices;
     use si_synth::synthesis::CoverMode;
-    let gates = |stg: &Stg, implicit_covers: bool, workers| -> String {
-        let options = SynthesisOptions {
-            mode: CoverMode::Exact,
-            implicit_covers,
-            workers,
-            ..Default::default()
-        };
-        let result = synthesize_from_unfolding(stg, &options).expect("synthesis succeeds");
-        result
-            .gates
-            .iter()
-            .map(|g| format!("{}|{:?}\n", g.equation(stg), g.gate))
-            .collect()
-    };
     for stg in [muller_pipeline(4), paper_fig4ab(), vme_read_csc()] {
-        let sequential = gates(&stg, false, Some(1));
-        for implicit_covers in [true, false] {
-            for workers in [None, Some(2), Some(4)] {
-                assert_eq!(
-                    sequential,
-                    gates(&stg, implicit_covers, workers),
-                    "{}: workers={workers:?} implicit={implicit_covers} diverged",
-                    stg.name()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn cutoff_pruning_is_byte_identical_across_workers() {
-    // The T-invariant cutoff-lookup pruning is a pure skip of guaranteed
-    // hash misses: with it on or off, at any worker count, the unfolding
-    // flow must produce the same full fingerprint (covers included).
-    use si_synth::unfolding::UnfoldingOptions;
-    for stg in [muller_pipeline(4), paper_fig4ab(), vme_read_csc()] {
-        let unpruned = unfolding_fingerprint(
-            &stg,
-            &SynthesisOptions {
-                workers: Some(1),
-                unfolding: UnfoldingOptions {
-                    prune_non_repeatable: false,
-                    ..Default::default()
-                },
+        let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
+        let budget = SynthesisOptions::default().slice_budget;
+        let explicit: Vec<Cover> = stg
+            .implementable_signals()
+            .into_iter()
+            .map(|signal| {
+                let side = |value| {
+                    let slices = side_slices(&unf, signal, value);
+                    exact_side_cover(&stg, &unf, &slices, budget).expect("within budget")
+                };
+                minimize(&side(true), &side(false))
+            })
+            .collect();
+        for workers in [Some(1), None, Some(2), Some(4)] {
+            let options = SynthesisOptions {
+                mode: CoverMode::Exact,
+                workers,
                 ..Default::default()
-            },
-        );
-        for workers in [None, Some(2), Some(4)] {
-            let pruned = unfolding_fingerprint(
-                &stg,
-                &SynthesisOptions {
-                    workers,
-                    unfolding: UnfoldingOptions {
-                        prune_non_repeatable: true,
-                        ..Default::default()
-                    },
-                    ..Default::default()
-                },
-            );
+            };
+            let result = synthesize_from_unfolding(&stg, &options).expect("synthesis succeeds");
+            let gates: Vec<Cover> = result.gates.into_iter().map(|g| g.gate).collect();
             assert_eq!(
-                unpruned,
-                pruned,
-                "{}: workers={workers:?} pruning changed the output",
+                explicit,
+                gates,
+                "{}: workers={workers:?} diverged",
                 stg.name()
             );
         }

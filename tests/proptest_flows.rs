@@ -10,10 +10,14 @@
 //! construction.
 
 use proptest::prelude::*;
+use si_synth::cubes::{minimize, Cover};
 use si_synth::stategraph::StateGraph;
 use si_synth::stg::{Polarity, SignalKind, Stg, StgBuilder};
+use si_synth::synthesis::exact::exact_side_cover;
+use si_synth::synthesis::slice::side_slices;
 use si_synth::synthesis::{
     synthesize_from_unfolding, verify_against_sg, CoverMode, SynthesisError, SynthesisOptions,
+    UnfoldingSynthesis,
 };
 use si_synth::unfolding::{StgUnfolding, UnfoldingOptions};
 
@@ -89,14 +93,62 @@ fn build(bp: &Blueprint) -> Stg {
         .expect("blueprint yields a structurally valid STG")
 }
 
+/// The gates of a synthesis run, or `None` for a CSC conflict (any other
+/// error fails the case).
+fn gates_or_csc(
+    result: Result<UnfoldingSynthesis, SynthesisError>,
+) -> Result<Option<Vec<Cover>>, TestCaseError> {
+    match result {
+        Ok(r) => Ok(Some(r.gates.into_iter().map(|g| g.gate).collect())),
+        Err(SynthesisError::CscViolation { .. }) => Ok(None),
+        Err(other) => Err(TestCaseError::fail(format!("unexpected error: {other}"))),
+    }
+}
+
+/// The explicit exact-mode reference: each implementable signal's
+/// canonical minterm covers (`exact_side_cover`) through the cube-level
+/// minimiser, or `None` when some signal's covers intersect.
+fn explicit_exact_gates(stg: &Stg, unf: &StgUnfolding) -> Option<Vec<Cover>> {
+    let budget = SynthesisOptions::default().slice_budget;
+    stg.implementable_signals()
+        .into_iter()
+        .map(|signal| {
+            let side = |value| {
+                let slices = side_slices(unf, signal, value);
+                exact_side_cover(stg, unf, &slices, budget).expect("small random spec")
+            };
+            let (on, off) = (side(true), side(false));
+            (!on.intersects(&off)).then(|| minimize(&on, &off))
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn segment_agrees_with_state_graph(bp in blueprint()) {
+    fn segment_agrees_with_state_graph(
+        bp in blueprint(),
+        workers_idx in 0usize..3,
+    ) {
         let stg = build(&bp);
         let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default())
             .expect("by-construction consistent and safe");
+        // Extension enumeration fans out on the worker pool; the segment
+        // must not depend on the worker count.
+        let workers = [Some(1), Some(2), None][workers_idx];
+        let other = StgUnfolding::build(&stg, &UnfoldingOptions {
+            workers,
+            ..UnfoldingOptions::default()
+        })
+        .expect("by-construction consistent and safe");
+        prop_assert_eq!(unf.event_count(), other.event_count());
+        for (a, b) in unf.events().zip(other.events()) {
+            prop_assert_eq!(unf.transition(a), other.transition(b));
+            prop_assert_eq!(unf.preset(a), other.preset(b));
+            prop_assert_eq!(unf.is_cutoff(a), other.is_cutoff(b));
+            prop_assert_eq!(unf.code(a), other.code(b));
+        }
         let sg = StateGraph::build(&stg, 1_000_000).expect("small enough");
         // Initial codes agree.
         prop_assert_eq!(unf.initial_code().to_string(), sg.initial_code().to_string());
@@ -146,84 +198,35 @@ proptest! {
 
     #[test]
     fn representation_and_workers_never_change_the_output(bp in blueprint()) {
-        // The cover representation (implicit diagrams vs explicit cube
-        // lists) and the worker count are pure performance knobs: every
-        // combination must produce byte-identical equations — or the same
-        // structured error — as the sequential explicit baseline.
+        // The worker count is a pure performance knob, and exact mode's
+        // pooled diagrams are a representation choice: every combination
+        // must produce the same gates — or the same CSC verdict — as the
+        // reference (the explicit minterm covers in exact mode, the
+        // sequential run in approximate mode).
         let stg = build(&bp);
+        let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default())
+            .expect("by-construction consistent and safe");
         for mode in [CoverMode::Approximate, CoverMode::Exact] {
-            let baseline = synthesize_from_unfolding(&stg, &SynthesisOptions {
-                mode,
-                workers: Some(1),
-                implicit_covers: false,
-                ..SynthesisOptions::default()
-            });
-            for implicit_covers in [false, true] {
-                for workers in [Some(1), Some(4)] {
-                    let other = synthesize_from_unfolding(&stg, &SynthesisOptions {
-                        mode,
-                        workers,
-                        implicit_covers,
-                        ..SynthesisOptions::default()
-                    });
-                    match (&baseline, &other) {
-                        (Ok(a), Ok(b)) => {
-                            let eq = |r: &si_synth::synthesis::UnfoldingSynthesis| -> Vec<String> {
-                                r.gates.iter().map(|g| g.equation(&stg)).collect()
-                            };
-                            prop_assert_eq!(
-                                eq(a), eq(b),
-                                "implicit={} workers={:?} changed the equations",
-                                implicit_covers, workers
-                            );
-                        }
-                        (Err(a), Err(b)) => prop_assert_eq!(
-                            std::mem::discriminant(a), std::mem::discriminant(b),
-                            "implicit={} workers={:?} changed the error: {a} vs {b}",
-                            implicit_covers, workers
-                        ),
-                        (a, b) => {
-                            return Err(TestCaseError::fail(format!(
-                                "implicit={implicit_covers} workers={workers:?}: \
-                                 baseline={:?} other={:?}",
-                                a.as_ref().map(|r| r.literal_count()),
-                                b.as_ref().map(|r| r.literal_count())
-                            )));
-                        }
-                    }
-                }
+            let run = |workers| {
+                gates_or_csc(synthesize_from_unfolding(&stg, &SynthesisOptions {
+                    mode,
+                    workers,
+                    ..SynthesisOptions::default()
+                }))
+            };
+            let reference = match mode {
+                CoverMode::Exact => explicit_exact_gates(&stg, &unf),
+                CoverMode::Approximate => run(Some(1))?,
+            };
+            for workers in [Some(1), Some(4)] {
+                prop_assert_eq!(
+                    &reference,
+                    &run(workers)?,
+                    "{:?} workers={:?} changed the gates",
+                    mode,
+                    workers
+                );
             }
-        }
-    }
-
-    #[test]
-    fn cutoff_pruning_never_changes_the_segment(
-        bp in blueprint(),
-        workers_idx in 0usize..3,
-    ) {
-        // The T-invariant cutoff-lookup pruning must be invisible: the
-        // segment with pruning on — at any worker count — is byte-identical
-        // to the unpruned sequential build on every random composition.
-        let stg = build(&bp);
-        let workers = [Some(1), Some(2), None][workers_idx];
-        let unpruned = StgUnfolding::build(&stg, &UnfoldingOptions {
-            prune_non_repeatable: false,
-            workers: Some(1),
-            ..UnfoldingOptions::default()
-        })
-        .expect("by-construction consistent and safe");
-        let pruned = StgUnfolding::build(&stg, &UnfoldingOptions {
-            prune_non_repeatable: true,
-            workers,
-            ..UnfoldingOptions::default()
-        })
-        .expect("by-construction consistent and safe");
-        prop_assert_eq!(unpruned.event_count(), pruned.event_count());
-        for (a, b) in unpruned.events().zip(pruned.events()) {
-            prop_assert_eq!(unpruned.transition(a), pruned.transition(b));
-            prop_assert_eq!(unpruned.preset(a), pruned.preset(b));
-            prop_assert_eq!(unpruned.is_cutoff(a), pruned.is_cutoff(b));
-            prop_assert_eq!(unpruned.code(a), pruned.code(b));
         }
     }
 

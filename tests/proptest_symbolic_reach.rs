@@ -50,24 +50,17 @@ fn build(family: &Family) -> Stg {
 /// so small instances actually take the work-stealing path): the kernel
 /// thread count is a pure wall-clock knob and must be invisible here too.
 fn tuning() -> impl Strategy<Value = SymbolicTuning> {
-    (
-        0usize..3,
-        0usize..3,
-        1usize..3,
-        0usize..2,
-        0usize..2,
-        0usize..3,
-    )
-        .prop_map(|(reorder, gc, sift, seed, certs, threads)| SymbolicTuning {
+    (0usize..3, 0usize..3, 1usize..3, 0usize..2, 0usize..3).prop_map(
+        |(reorder, gc, sift, seed, threads)| SymbolicTuning {
             node_budget: NODE_BUDGET,
             reorder: [ReorderPolicy::Off, ReorderPolicy::Sift, ReorderPolicy::Auto][reorder],
             gc_threshold: [0, 64, 1 << 20][gc],
             reorder_threshold: [1, 256][sift - 1],
             order_seed: [OrderSeed::SignalAdjacency, OrderSeed::PlaceInvariants][seed],
-            safety_certificates: certs == 1,
             bdd_threads: [None, Some(2), Some(4)][threads],
             bdd_parallel_floor: Some(0),
-        })
+        },
+    )
 }
 
 const STATE_BUDGET: usize = 2_000_000;

@@ -16,15 +16,6 @@
 //!   `#![forbid(unsafe_code)]`; the textual gate keeps that true even if an
 //!   attribute is dropped in a refactor, without waiting for a reviewer to
 //!   notice.
-//! * `bench` — symbolic-engine scaling harness: runs the SG flow's BDD
-//!   engine over the large `benchmarks/*.g` specifications at
-//!   `bdd_threads` ∈ {1, 2, 4}, cross-checks that gate equations and
-//!   kernel operation counts are identical at every thread count, and
-//!   prints one row per run (wall ms, peak live nodes, op counts). With
-//!   `--json` the same rows are written to `BENCH_symbolic.json` at the
-//!   workspace root. Wall-clock speedup is only visible on multi-core
-//!   hosts; the op counts and peak live nodes are machine-independent, so
-//!   they are what CI pins on single-CPU runners.
 //!
 //! The scanner is intentionally textual (no syn/proc-macro dependencies in
 //! the offline build): it walks `crates/<crate>/src/**/*.rs`, drops `//`
@@ -33,8 +24,6 @@
 //! a file, which the gate itself double-checks by refusing any occurrence
 //! of `#[cfg(test)]` that is followed by a non-indented `}` before EOF less
 //! than the final line.
-
-mod bench;
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -65,16 +54,13 @@ fn main() -> ExitCode {
             scan_unsafe,
             "the library crates are `#![forbid(unsafe_code)]`; keep them that way",
         ),
-        Some("bench") => bench::run(args.collect()),
         Some(other) => {
-            eprintln!(
-                "unknown task `{other}`; available tasks: forbid-panics, forbid-unsafe, bench"
-            );
+            eprintln!("unknown task `{other}`; available tasks: forbid-panics, forbid-unsafe");
             ExitCode::from(2)
         }
         None => {
             eprintln!(
-                "usage: cargo run -p xtask -- <task>\n\ntasks:\n  forbid-panics\n  forbid-unsafe\n  bench [--json] [--threads 1,2,4] [name …]"
+                "usage: cargo run -p xtask -- <task>\n\ntasks:\n  forbid-panics\n  forbid-unsafe"
             );
             ExitCode::from(2)
         }
