@@ -38,9 +38,10 @@
 //!                          and operation counts are identical at any
 //!                          thread count
 //!   --budget N             traversal budget: max states (explicit sg),
-//!                          max live BDD nodes (symbolic sg) or slice
-//!                          budget (unfolding); defaults: 2000000 states /
-//!                          16000000 nodes / 2000000 slices
+//!                          max live BDD nodes (symbolic sg) or max
+//!                          markings per slice (unfolding); defaults:
+//!                          2000000 states / 16000000 nodes / 2000000
+//!                          markings
 //!   --reorder off|sift|auto
 //!                          (symbolic engine) dynamic variable reordering:
 //!                          off keeps the statically seeded order, sift

@@ -3,14 +3,16 @@
 //! implementations, where the complex gate computes Set/Reset excitation
 //! functions instead of the full next-state function.
 
+use std::collections::HashSet;
+
 use si_cubes::{minimize, Cover};
-use si_stg::{SignalId, Stg};
+use si_stg::{BinaryCode, SignalId, Stg};
 use si_unfolding::{StgUnfolding, UnfoldingOptions};
 
 use crate::covers::code_to_cube;
 use crate::error::SynthesisError;
 use crate::exact::{exact_side_cover, excitation_codes};
-use crate::slice::side_slices;
+use crate::slice::{side_slices, Slice};
 
 /// The memory element guarding an excitation-function implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,18 +92,8 @@ pub fn synthesize_excitation_functions(
 
         // ER(+a) = excitation parts of the on-slices (where +a is pending);
         // ER(-a) symmetric.
-        let mut er_on = Cover::empty(unf.signal_count());
-        for s in &on_slices {
-            for code in excitation_codes(&unf, s, slice_budget)? {
-                er_on = er_on.union(&[code_to_cube(&code)].into_iter().collect());
-            }
-        }
-        let mut er_off = Cover::empty(unf.signal_count());
-        for s in &off_slices {
-            for code in excitation_codes(&unf, s, slice_budget)? {
-                er_off = er_off.union(&[code_to_cube(&code)].into_iter().collect());
-            }
-        }
+        let er_on = excitation_cover(&unf, &on_slices, slice_budget)?;
+        let er_off = excitation_cover(&unf, &off_slices, slice_budget)?;
         let on = exact_side_cover(stg, &unf, &on_slices, slice_budget)?;
         let off = exact_side_cover(stg, &unf, &off_slices, slice_budget)?;
         if on.intersects(&off) {
@@ -135,6 +127,26 @@ pub fn synthesize_excitation_functions(
         });
     }
     Ok(out)
+}
+
+/// The minterm cover of the excitation codes of `slices`: one cube per
+/// distinct code, in first-occurrence order.
+fn excitation_cover(
+    unf: &StgUnfolding,
+    slices: &[Slice],
+    slice_budget: usize,
+) -> Result<Cover, SynthesisError> {
+    let mut cover = Cover::empty(unf.signal_count());
+    let mut seen: HashSet<BinaryCode> = HashSet::new();
+    for s in slices {
+        for code in excitation_codes(unf, s, slice_budget)? {
+            if !seen.contains(&code) {
+                cover.push(code_to_cube(&code));
+                seen.insert(code);
+            }
+        }
+    }
+    Ok(cover)
 }
 
 #[cfg(test)]
@@ -228,6 +240,28 @@ mod tests {
                 )
                 .unwrap_or_else(|e| panic!("{} failed: {e}", stg.name()));
                 check_excitation_contract(&stg, &impls);
+            }
+        }
+    }
+
+    #[test]
+    fn excitation_cover_equals_repeated_union() {
+        for stg in [paper_fig1(), vme_read_csc(), muller_pipeline(3)] {
+            let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
+            for signal in stg.implementable_signals() {
+                for value in [true, false] {
+                    let slices = side_slices(&unf, signal, value);
+                    // The reference: one single-cube union per code.
+                    let mut expected = Cover::empty(unf.signal_count());
+                    for s in &slices {
+                        for code in excitation_codes(&unf, s, 1_000_000).expect("small") {
+                            expected = expected.union(&[code_to_cube(&code)].into_iter().collect());
+                        }
+                    }
+                    let got = excitation_cover(&unf, &slices, 1_000_000).expect("small");
+                    assert_eq!(got, expected, "{} signal {signal}", stg.name());
+                    assert_eq!(got.width(), expected.width());
+                }
             }
         }
     }

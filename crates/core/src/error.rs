@@ -32,7 +32,8 @@ pub enum SynthesisError {
         /// The signal's name.
         signal: String,
     },
-    /// Exact cut enumeration inside one slice exceeded its budget.
+    /// Exact cut enumeration inside one slice reached more distinct
+    /// markings than its budget allows.
     SliceBudgetExceeded {
         /// The configured budget.
         budget: usize,
@@ -69,7 +70,7 @@ impl fmt::Display for SynthesisError {
                 write!(f, "signal `{signal}` never changes; no gate is needed")
             }
             SynthesisError::SliceBudgetExceeded { budget } => {
-                write!(f, "slice enumeration exceeded {budget} cuts")
+                write!(f, "slice enumeration exceeded {budget} markings")
             }
             SynthesisError::InconsistentCovers { signal, witness } => write!(
                 f,

@@ -7,13 +7,14 @@
 //! approximate mode (module [`crate::approx`]) exists. It is also the sound
 //! fallback the refinement loop escalates to.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
+use std::hash::BuildHasher;
 use std::ops::ControlFlow;
 
 use si_cubes::implicit::{ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::{Cover, Cube};
-use si_petri::{BitSet, Marking};
-use si_stg::{BinaryCode, Stg};
+use si_stg::{BinaryCode, SignalId, Stg};
 use si_unfolding::{ConditionId, EventId, StgUnfolding};
 
 use crate::covers::code_to_cube;
@@ -31,12 +32,15 @@ use crate::slice::Slice;
 /// yet the opposite change may well be enabled there (e.g. the final cut of
 /// a cutoff that closes the cycle re-enables the signal's first change).
 ///
-/// `budget` bounds the number of cuts visited.
+/// `budget` bounds the number of distinct markings the traversal reaches
+/// (marking-equal cuts count once). The bound is checked each time a state
+/// is taken off the stack, so a traversal that reaches `n` markings
+/// succeeds exactly when `budget >= n`.
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError::SliceBudgetExceeded`] when the slice holds more
-/// than `budget` cuts.
+/// Returns [`SynthesisError::SliceBudgetExceeded`] when the slice reaches
+/// more than `budget` distinct markings.
 pub fn slice_codes(
     stg: &Stg,
     unf: &StgUnfolding,
@@ -58,10 +62,15 @@ pub fn slice_codes(
 /// explicit `Vec<BinaryCode>` intermediate only exists where a caller
 /// genuinely needs the list.
 ///
+/// Codes arrive in a fixed order: a depth-first walk over cuts that takes
+/// the most recently reached state first and postpones states reached
+/// through a cutoff until no other state is pending. Callers rely on that
+/// order (the refinement loop turns codes into atoms as they arrive).
+///
 /// # Errors
 ///
-/// Returns [`SynthesisError::SliceBudgetExceeded`] when the slice holds
-/// more than `budget` cuts.
+/// Returns [`SynthesisError::SliceBudgetExceeded`] when the slice reaches
+/// more than `budget` distinct markings (see [`slice_codes`]).
 pub fn for_each_slice_code(
     stg: &Stg,
     unf: &StgUnfolding,
@@ -69,9 +78,10 @@ pub fn for_each_slice_code(
     budget: usize,
     mut sink: impl FnMut(&BinaryCode) -> ControlFlow<()>,
 ) -> Result<(), SynthesisError> {
-    // STG transitions whose firing would leave the slice's stable value:
-    // the opposite changes of the slice signal.
-    let opposite: Vec<si_petri::TransitionId> = stg
+    let rows = RowLayout::new(unf);
+    // Presets of the STG transitions whose firing would leave the slice's
+    // stable value: the opposite changes of the slice signal.
+    let opposite: Vec<Vec<usize>> = stg
         .transitions_of(slice.signal)
         .into_iter()
         .filter(|&t| {
@@ -79,10 +89,10 @@ pub fn for_each_slice_code(
                 .map(|l| l.polarity.target_value() != slice.value)
                 .unwrap_or(false)
         })
+        .map(|t| stg.net().preset(t).iter().map(|p| p.index()).collect())
         .collect();
     // Starting state: min-cut with the slice signal still at its pre-entry
     // value (for a real entry) or the initial code (for ⊥).
-    let start_cut: BitSet = slice.min_cut(unf).iter().map(|b| b.index()).collect();
     let start_code = if slice.entry.is_root() {
         unf.initial_code().clone()
     } else {
@@ -90,12 +100,32 @@ pub fn for_each_slice_code(
         code.set(slice.signal, !slice.value);
         code
     };
-
-    let entry_preset: Vec<ConditionId> = if slice.entry.is_root() {
-        Vec::new()
+    let entry_preset: &[ConditionId] = if slice.entry.is_root() {
+        &[]
     } else {
-        unf.preset(slice.entry).to_vec()
+        unf.preset(slice.entry)
     };
+
+    // Only the entry itself or slice members advance the slice, never an
+    // exit; while the entry is pending (its preset intact), events that
+    // would disable it (steal a preset condition) leave the slice too.
+    let mut fire = vec![Fire::Never; unf.event_count()];
+    let advancing = slice
+        .members
+        .iter()
+        .map(|f| EventId(f as u32))
+        .chain((!slice.entry.is_root()).then_some(slice.entry));
+    for f in advancing {
+        if slice.is_exit(f) {
+            continue;
+        }
+        let steals = f != slice.entry && unf.preset(f).iter().any(|b| entry_preset.contains(b));
+        fire[f.index()] = if steals {
+            Fire::UnlessEntryPending
+        } else {
+            Fire::Always
+        };
+    }
 
     // States are deduplicated by *marking*, not by condition set: a cut
     // containing frozen (post-cutoff) condition instances represents the
@@ -104,83 +134,77 @@ pub fn for_each_slice_code(
     // Cut exploration defers cutoff firings until all cutoff-free cuts are
     // processed, so the richer (extendable) representative of each marking
     // is explored first.
-    let start_marking: Marking = start_cut
-        .iter()
-        .map(|b| unf.place(ConditionId(b as u32)))
-        .collect();
-    let mut seen: HashSet<Marking> = HashSet::new();
-    seen.insert(start_marking.clone());
-    let mut queue: Vec<(BitSet, BinaryCode, Marking)> =
-        vec![(start_cut, start_code, start_marking)];
-    let mut deferred: Vec<(BitSet, BinaryCode, Marking)> = Vec::new();
-    let mut code_set: HashSet<String> = HashSet::new();
+    let mut row = rows.start(&slice.min_cut(unf), &start_code);
+    let mut next = row.clone();
+    let mut seen = SeenWords::default();
+    seen.insert(rows.marking(&row));
+    let mut queue: Vec<u64> = row.clone();
+    let mut deferred: Vec<u64> = Vec::new();
+    let mut code_set = SeenWords::default();
+    let mut code = start_code;
+    // `stamp[e] == generation` marks `e` as already examined at this cut.
+    let mut stamp: Vec<u64> = vec![0; unf.event_count()];
+    let mut generation = 0u64;
+    let mut enabled: Vec<EventId> = Vec::new();
 
-    while let Some((cut, code, marking)) = queue.pop().or_else(|| deferred.pop()) {
+    while pop_row(&mut queue, &mut row) || pop_row(&mut deferred, &mut row) {
         if seen.len() > budget {
             return Err(SynthesisError::SliceBudgetExceeded { budget });
         }
-        // Events enabled at this cut: consumers of cut conditions whose full
-        // preset is inside the cut.
-        let mut enabled: Vec<EventId> = Vec::new();
-        for b in cut.iter() {
-            for &e in unf.consumers(ConditionId(b as u32)) {
-                if !enabled.contains(&e) && unf.preset(e).iter().all(|c| cut.contains(c.index())) {
+        // Advancing events enabled at this cut, in the order their first
+        // preset condition appears in it.
+        generation += 1;
+        enabled.clear();
+        for b in rows.cut(&row) {
+            for &e in unf.consumers(b) {
+                if fire[e.index()] == Fire::Never || stamp[e.index()] == generation {
+                    continue;
+                }
+                stamp[e.index()] = generation;
+                if unf.preset(e).iter().all(|&c| rows.in_cut(&row, c)) {
                     enabled.push(e);
                 }
             }
         }
         // A state belongs to the slice's set only if no opposite change of
         // the signal is enabled in the original STG at this marking.
-        let opposite_enabled = opposite.iter().any(|&t| stg.net().is_enabled(t, &marking));
-        if !opposite_enabled && code_set.insert(code.to_string()) {
-            if let ControlFlow::Break(()) = sink(&code) {
+        let opposite_enabled = opposite
+            .iter()
+            .any(|preset| preset.iter().all(|&p| rows.marked(&row, p)));
+        if !opposite_enabled && code_set.insert(rows.code(&row)) {
+            rows.load_code(&row, &mut code);
+            if sink(&code).is_break() {
                 return Ok(());
             }
         }
-        // Whether the entry is still pending (its preset intact).
         let entry_pending =
-            !slice.entry.is_root() && entry_preset.iter().all(|b| cut.contains(b.index()));
+            !slice.entry.is_root() && entry_preset.iter().all(|&b| rows.in_cut(&row, b));
         for &f in &enabled {
-            if slice.is_exit(f) {
+            if entry_pending && fire[f.index()] == Fire::UnlessEntryPending {
                 continue;
             }
-            // While the entry is pending, refuse events that would disable
-            // it (steal a preset condition) — those states leave the slice.
-            if entry_pending && f != slice.entry {
-                let conflicts = unf.preset(f).iter().any(|b| entry_preset.contains(b));
-                if conflicts {
-                    continue;
-                }
-            }
-            // Only the entry itself or slice members advance the slice.
-            if f != slice.entry && !slice.is_member(f) {
-                continue;
-            }
-            let mut next_cut = cut.clone();
-            for &b in unf.preset(f) {
-                next_cut.remove(b.index());
-            }
-            for &b in unf.postset(f) {
-                next_cut.insert(b.index());
-            }
-            let next_marking: Marking = next_cut
-                .iter()
-                .map(|b| unf.place(ConditionId(b as u32)))
-                .collect();
-            if seen.insert(next_marking.clone()) {
-                let mut next_code = code.clone();
-                if let Some(label) = unf.label(f) {
-                    next_code.toggle(label.signal);
-                }
-                if unf.is_cutoff(f) {
-                    deferred.push((next_cut, next_code, next_marking));
+            rows.fire(unf, &row, f, &mut next);
+            if seen.insert(rows.marking(&next)) {
+                let stack = if unf.is_cutoff(f) {
+                    &mut deferred
                 } else {
-                    queue.push((next_cut, next_code, next_marking));
-                }
+                    &mut queue
+                };
+                stack.extend_from_slice(&next);
             }
         }
     }
     Ok(())
+}
+
+/// Whether an event may advance a slice traversal.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Fire {
+    Never,
+    Always,
+    /// Only once the entry has fired: the event consumes a condition of the
+    /// entry's preset.
+    UnlessEntryPending,
 }
 
 /// Enumerates only the excitation-region codes of a slice: the cuts at
@@ -192,8 +216,8 @@ pub fn for_each_slice_code(
 ///
 /// # Errors
 ///
-/// Returns [`SynthesisError::SliceBudgetExceeded`] when the region holds
-/// more than `budget` cuts.
+/// Returns [`SynthesisError::SliceBudgetExceeded`] when the region reaches
+/// more than `budget` distinct markings (the bound of [`slice_codes`]).
 pub fn excitation_codes(
     unf: &StgUnfolding,
     slice: &Slice,
@@ -202,65 +226,228 @@ pub fn excitation_codes(
     if slice.entry.is_root() {
         return Ok(Vec::new());
     }
-    let start_cut: BitSet = slice.min_cut(unf).iter().map(|b| b.index()).collect();
-    let mut start_code = unf.code(slice.entry).clone();
-    start_code.set(slice.signal, !slice.value);
-    let entry_preset: Vec<ConditionId> = unf.preset(slice.entry).to_vec();
+    let rows = RowLayout::new(unf);
+    let mut code = unf.code(slice.entry).clone();
+    code.set(slice.signal, !slice.value);
+    let entry_preset = unf.preset(slice.entry);
+    // Fire only members concurrent to the entry that leave its preset
+    // intact (keeping it excited).
+    let mut fires = vec![false; unf.event_count()];
+    for f in slice.members.iter().map(|f| EventId(f as u32)) {
+        fires[f.index()] = f != slice.entry
+            && unf.events_co(slice.entry, f)
+            && !unf.preset(f).iter().any(|c| entry_preset.contains(c));
+    }
 
-    let start_marking: Marking = start_cut
-        .iter()
-        .map(|b| unf.place(ConditionId(b as u32)))
-        .collect();
-    let mut seen: HashSet<Marking> = HashSet::new();
-    seen.insert(start_marking);
-    let mut queue: Vec<(BitSet, BinaryCode)> = vec![(start_cut, start_code)];
+    let mut row = rows.start(&slice.min_cut(unf), &code);
+    let mut next = row.clone();
+    let mut seen = SeenWords::default();
+    seen.insert(rows.marking(&row));
+    let mut queue: Vec<u64> = row.clone();
     let mut codes = Vec::new();
-    let mut code_set: HashSet<String> = HashSet::new();
+    let mut code_set = SeenWords::default();
 
-    while let Some((cut, code)) = queue.pop() {
+    while pop_row(&mut queue, &mut row) {
         if seen.len() > budget {
             return Err(SynthesisError::SliceBudgetExceeded { budget });
         }
-        if code_set.insert(code.to_string()) {
+        if code_set.insert(rows.code(&row)) {
+            rows.load_code(&row, &mut code);
             codes.push(code.clone());
         }
-        // Fire only members concurrent to the entry (keeping it excited).
-        for b in cut.iter() {
-            for &f in unf.consumers(ConditionId(b as u32)) {
-                if f == slice.entry || !slice.is_member(f) {
+        for b in rows.cut(&row) {
+            for &f in unf.consumers(b) {
+                if !fires[f.index()] || !unf.preset(f).iter().all(|&c| rows.in_cut(&row, c)) {
                     continue;
                 }
-                if !unf.events_co(slice.entry, f) {
-                    continue;
-                }
-                if !unf.preset(f).iter().all(|c| cut.contains(c.index())) {
-                    continue;
-                }
-                if unf.preset(f).iter().any(|c| entry_preset.contains(c)) {
-                    continue;
-                }
-                let mut next_cut = cut.clone();
-                for &c in unf.preset(f) {
-                    next_cut.remove(c.index());
-                }
-                for &c in unf.postset(f) {
-                    next_cut.insert(c.index());
-                }
-                let next_marking: Marking = next_cut
-                    .iter()
-                    .map(|b| unf.place(ConditionId(b as u32)))
-                    .collect();
-                if seen.insert(next_marking) {
-                    let mut next_code = code.clone();
-                    if let Some(label) = unf.label(f) {
-                        next_code.toggle(label.signal);
-                    }
-                    queue.push((next_cut, next_code));
+                rows.fire(unf, &row, f, &mut next);
+                if seen.insert(rows.marking(&next)) {
+                    queue.extend_from_slice(&next);
                 }
             }
         }
     }
     Ok(codes)
+}
+
+/// The packed form of a traversal state: one fixed-stride row of words
+/// holding the cut (a bit per condition), the marking it represents (a bit
+/// per place) and its binary code (in [`BinaryCode::words`] layout).
+///
+/// Firing an event clears its preset's places and sets its postset's
+/// instead of re-collecting the marking from the whole cut. The two agree
+/// because [`StgUnfolding::build`] rejects unsafe nets, so no two
+/// conditions of a cut instantiate the same place.
+struct RowLayout {
+    /// The place each condition instantiates, by condition index.
+    place: Vec<usize>,
+    cut_words: usize,
+    marking_words: usize,
+}
+
+impl RowLayout {
+    fn new(unf: &StgUnfolding) -> Self {
+        let place: Vec<usize> = unf.conditions().map(|b| unf.place(b).index()).collect();
+        let places = place.iter().max().map_or(0, |&p| p + 1);
+        RowLayout {
+            cut_words: place.len().div_ceil(64),
+            marking_words: places.div_ceil(64),
+            place,
+        }
+    }
+
+    /// The row of the state at `cut` with binary code `code`.
+    fn start(&self, cut: &[ConditionId], code: &BinaryCode) -> Vec<u64> {
+        let mut row = vec![0; self.cut_words + self.marking_words];
+        for &b in cut {
+            set_bit(&mut row, b.index());
+            set_bit(&mut row[self.cut_words..], self.place[b.index()]);
+        }
+        row.extend_from_slice(code.words());
+        row
+    }
+
+    fn marking<'r>(&self, row: &'r [u64]) -> &'r [u64] {
+        &row[self.cut_words..self.cut_words + self.marking_words]
+    }
+
+    fn code<'r>(&self, row: &'r [u64]) -> &'r [u64] {
+        &row[self.cut_words + self.marking_words..]
+    }
+
+    /// The cut's conditions in index order.
+    fn cut<'r>(&self, row: &'r [u64]) -> impl Iterator<Item = ConditionId> + 'r {
+        row[..self.cut_words]
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &word)| {
+                let mut rest = word;
+                std::iter::from_fn(move || {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest.wrapping_sub(1);
+                    (bit < 64).then(|| ConditionId((w * 64 + bit) as u32))
+                })
+            })
+    }
+
+    fn in_cut(&self, row: &[u64], b: ConditionId) -> bool {
+        has_bit(row, b.index())
+    }
+
+    /// Whether `place` is marked; a place no condition instantiates (so
+    /// possibly beyond the row's marking words) never is.
+    fn marked(&self, row: &[u64], place: usize) -> bool {
+        self.marking(row)
+            .get(place / 64)
+            .is_some_and(|word| word & (1 << (place % 64)) != 0)
+    }
+
+    /// Overwrites `code` (of the unfolding's signal count) with the row's.
+    fn load_code(&self, row: &[u64], code: &mut BinaryCode) {
+        let words = self.code(row);
+        for i in 0..code.len() {
+            code.set(SignalId(i as u32), has_bit(words, i));
+        }
+    }
+
+    /// Writes into `next` the state reached from `row` by firing `f`.
+    fn fire(&self, unf: &StgUnfolding, row: &[u64], f: EventId, next: &mut [u64]) {
+        next.copy_from_slice(row);
+        let (cut, rest) = next.split_at_mut(self.cut_words);
+        let (marking, code) = rest.split_at_mut(self.marking_words);
+        for &b in unf.preset(f) {
+            clear_bit(cut, b.index());
+            clear_bit(marking, self.place[b.index()]);
+        }
+        for &b in unf.postset(f) {
+            set_bit(cut, b.index());
+            set_bit(marking, self.place[b.index()]);
+        }
+        if let Some(label) = unf.label(f) {
+            code[label.signal.index() / 64] ^= 1 << (label.signal.index() % 64);
+        }
+    }
+}
+
+fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
+}
+
+fn clear_bit(words: &mut [u64], i: usize) {
+    words[i / 64] &= !(1 << (i % 64));
+}
+
+/// Moves the top row of a flat LIFO stack of rows into `row`; `false` when
+/// the stack is empty.
+fn pop_row(stack: &mut Vec<u64>, row: &mut [u64]) -> bool {
+    let Some(top) = stack.len().checked_sub(row.len()) else {
+        return false;
+    };
+    row.copy_from_slice(&stack[top..]);
+    stack.truncate(top);
+    true
+}
+
+/// The packed markings or codes met so far, stored back to back in one
+/// arena and indexed by an open-addressing table, so recording a new row
+/// allocates nothing beyond amortised growth. Keys derive from the input
+/// specification, so rows are hashed with std's default (collision-
+/// resistant) hasher.
+#[derive(Default)]
+struct SeenWords {
+    hasher: RandomState,
+    /// The recorded rows, each `words.len() / len` words wide.
+    words: Vec<u64>,
+    len: usize,
+    /// Row index + 1 per slot, 0 for an empty slot; a power of two in size.
+    slots: Vec<usize>,
+    /// The hash of each recorded row, for rebuilding `slots` on growth.
+    hashes: Vec<u64>,
+}
+
+impl SeenWords {
+    /// Records `row`; `true` if it was not seen before. Every row recorded
+    /// in one set must have the same width.
+    fn insert(&mut self, row: &[u64]) -> bool {
+        if 2 * (self.len + 1) > self.slots.len() {
+            self.grow();
+        }
+        let hash = self.hasher.hash_one(row);
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                0 => break,
+                k if self.words[(k - 1) * row.len()..k * row.len()] == *row => return false,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+        self.words.extend_from_slice(row);
+        self.hashes.push(hash);
+        self.len += 1;
+        self.slots[slot] = self.len;
+        true
+    }
+
+    fn grow(&mut self) {
+        let size = (2 * self.slots.len()).max(16);
+        self.slots = vec![0; size];
+        for (i, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = hash as usize & (size - 1);
+            while self.slots[slot] != 0 {
+                slot = (slot + 1) & (size - 1);
+            }
+            self.slots[slot] = i + 1;
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
 }
 
 /// Checks whether `cover` becomes TRUE anywhere inside the given slices —
@@ -284,9 +471,11 @@ pub fn cover_true_within_slices(
     budget: usize,
 ) -> Result<bool, SynthesisError> {
     let mut hit = false;
+    let mut bits: Vec<bool> = Vec::new();
     for slice in slices {
         for_each_slice_code(stg, unf, slice, budget, |code| {
-            let bits: Vec<bool> = code.iter().map(|(_, v)| v).collect();
+            bits.clear();
+            bits.extend(code.iter().map(|(_, v)| v));
             if cover.covers_bits(&bits) {
                 hit = true;
                 return ControlFlow::Break(());
@@ -316,10 +505,11 @@ pub fn exact_side_cover(
     budget: usize,
 ) -> Result<Cover, SynthesisError> {
     let mut cubes: Vec<Cube> = Vec::new();
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<BinaryCode> = HashSet::new();
     for slice in slices {
         for_each_slice_code(stg, unf, slice, budget, |code| {
-            if seen.insert(code.to_string()) {
+            if !seen.contains(code) {
+                seen.insert(code.clone());
                 cubes.push(code_to_cube(code));
             }
             ControlFlow::Continue(())
@@ -350,7 +540,7 @@ pub fn exact_side_set(
     let mut list = MintermList::new(pool.width());
     for slice in slices {
         for_each_slice_code(stg, unf, slice, budget, |code| {
-            list.push(code.iter().map(|(_, v)| v));
+            list.push_blocks(code.words());
             ControlFlow::Continue(())
         })?;
     }

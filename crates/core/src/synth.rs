@@ -53,7 +53,9 @@ pub struct SynthesisOptions {
     pub mode: CoverMode,
     /// Maximum cube-level refinement steps per signal before escalating.
     pub max_refinement_steps: usize,
-    /// Budget (in cuts) for exact slice enumeration.
+    /// Budget for exact slice enumeration: the most distinct markings one
+    /// slice traversal may reach (marking-equal cuts count once), checked
+    /// each time a state is taken off its stack.
     pub slice_budget: usize,
     /// Check semi-modularity on the segment before synthesising.
     pub check_persistency: bool,

@@ -141,6 +141,12 @@ impl BinaryCode {
         self.set(signal, polarity.target_value());
     }
 
+    /// The packed bits: signal `i` is bit `i % 64` of word `i / 64`, and
+    /// bits at or beyond [`len`](Self::len) are zero.
+    pub fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
     /// Iterates over `(signal, value)` pairs in index order.
     pub fn iter(&self) -> impl Iterator<Item = (SignalId, bool)> + '_ {
         (0..self.len).map(|i| (SignalId(i as u32), self.get(SignalId(i as u32))))
@@ -217,6 +223,15 @@ mod tests {
         set.insert(a.clone());
         assert!(set.contains(&a2));
         assert!(!set.contains(&b));
+    }
+
+    #[test]
+    fn words_pack_signal_i_at_bit_i() {
+        assert_eq!(BinaryCode::from_str_bits("101").words(), &[0b101]);
+        let mut c = BinaryCode::zeros(70);
+        c.set(SignalId(69), true);
+        assert_eq!(c.words(), &[0, 1 << 5]);
+        assert!(BinaryCode::zeros(0).words().is_empty());
     }
 
     #[test]
