@@ -1,8 +1,8 @@
 //! Ablation B (see `DESIGN.md`): the paper's central design choice —
-//! approximate covers refined on demand versus exact cut enumeration inside
-//! every slice. Reports time and literal count for both modes over the
-//! suite and over workloads with growing concurrency, where exact
-//! enumeration blows up.
+//! approximate covers refined on demand versus exact enumeration of every
+//! reachable cut (one walk over the segment). Reports time and literal
+//! count for both modes over the suite and over workloads with growing
+//! concurrency, where exact enumeration blows up.
 //!
 //! Run with: `cargo run -p si-bench --release --bin ablation_exact_vs_approx`
 
@@ -25,7 +25,7 @@ fn main() {
     }
     println!("{}", "-".repeat(78));
     println!("Concurrency stress (k independent loops; exact explodes as 2^k,");
-    println!("blowing the 5000-cut slice budget by k = 14):");
+    println!("blowing a 5000-marking exact budget by k = 14):");
     for k in [8, 10, 12, 14] {
         row(&independent_cycles(k), 5_000);
     }

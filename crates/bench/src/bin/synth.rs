@@ -39,9 +39,11 @@
 //!                          thread count
 //!   --budget N             traversal budget: max states (explicit sg),
 //!                          max live BDD nodes (symbolic sg) or max
-//!                          markings per slice (unfolding); defaults:
-//!                          2000000 states / 16000000 nodes / 2000000
-//!                          markings
+//!                          distinct markings (unfolding: for the one
+//!                          walk over the segment with --cover exact,
+//!                          per slice for approx's exact fallbacks);
+//!                          defaults: 2000000 states / 16000000 nodes /
+//!                          2000000 markings
 //!   --reorder off|sift|auto
 //!                          (symbolic engine) dynamic variable reordering:
 //!                          off keeps the statically seeded order, sift
@@ -553,9 +555,12 @@ fn run_unfolding(
     for gate in &result.gates {
         println!("  {}", gate.equation(stg));
     }
-    // SlcTim/RefTim split SynTim into its slice-construction and
-    // refinement portions; both are CPU time summed over worker tasks, so
-    // with --workers > 1 they can exceed the wall-clock SynTim.
+    // SlcTim/RefTim split SynTim into its initial-cover and refinement
+    // portions. SlcTim is slice construction and approximation with
+    // --cover approx, and the one walk over the segment plus the
+    // per-signal set builds with --cover exact. Both are CPU time summed
+    // over worker tasks, so with --workers > 1 they can exceed the
+    // wall-clock SynTim.
     println!("\nTiming breakdown (seconds, the paper's Table 1 columns):");
     if let Some(note) = &auto_note {
         println!("  auto choice: {note}");

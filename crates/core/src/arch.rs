@@ -5,13 +5,14 @@
 
 use std::collections::HashSet;
 
+use si_cubes::implicit::ImplicitPool;
 use si_cubes::{minimize, Cover};
 use si_stg::{BinaryCode, SignalId, Stg};
 use si_unfolding::{StgUnfolding, UnfoldingOptions};
 
 use crate::covers::code_to_cube;
 use crate::error::SynthesisError;
-use crate::exact::{exact_side_cover, excitation_codes};
+use crate::exact::{classify_reachable, excitation_codes};
 use crate::slice::{side_slices, Slice};
 
 /// The memory element guarding an excitation-function implementation.
@@ -65,14 +66,18 @@ impl ExcitationImplementation {
 }
 
 /// Synthesises Set/Reset excitation functions for every implementable
-/// signal, using exact excitation-region enumeration on the segment (ERs
-/// are small even when quiescent regions explode).
+/// signal. The on- and off-sets come from exact mode's one walk over the
+/// segment ([`classify_reachable`]); the excitation regions from exact
+/// enumeration of each slice's excited part (ERs are small even when
+/// quiescent regions explode).
 ///
 /// # Errors
 ///
-/// Propagates unfolding and enumeration errors; reports
-/// [`SynthesisError::CscViolation`] when an excitation region overlaps the
-/// opposite side's states in code space.
+/// Propagates unfolding and enumeration errors: `slice_budget` bounds the
+/// walk and each excitation-region traversal. Reports
+/// [`SynthesisError::ConstantSignal`] for an implementable signal without
+/// transitions before walking, and [`SynthesisError::CscViolation`] when a
+/// signal's on- and off-sets overlap in code space.
 pub fn synthesize_excitation_functions(
     stg: &Stg,
     element: MemoryElement,
@@ -80,13 +85,17 @@ pub fn synthesize_excitation_functions(
     slice_budget: usize,
 ) -> Result<Vec<ExcitationImplementation>, SynthesisError> {
     let unf = StgUnfolding::build(stg, unfolding)?;
-    let mut out = Vec::new();
-    for signal in stg.implementable_signals() {
+    let signals = stg.implementable_signals();
+    for &signal in &signals {
         if stg.transitions_of(signal).is_empty() {
             return Err(SynthesisError::ConstantSignal {
                 signal: stg.signal_name(signal).to_owned(),
             });
         }
+    }
+    let states = classify_reachable(stg, &unf, slice_budget)?;
+    let mut out = Vec::new();
+    for signal in signals {
         let on_slices = side_slices(&unf, signal, true);
         let off_slices = side_slices(&unf, signal, false);
 
@@ -94,8 +103,9 @@ pub fn synthesize_excitation_functions(
         // ER(-a) symmetric.
         let er_on = excitation_cover(&unf, &on_slices, slice_budget)?;
         let er_off = excitation_cover(&unf, &off_slices, slice_budget)?;
-        let on = exact_side_cover(stg, &unf, &on_slices, slice_budget)?;
-        let off = exact_side_cover(stg, &unf, &off_slices, slice_budget)?;
+        let mut pool = ImplicitPool::new(unf.signal_count());
+        let (on, off) = states.sets_into(&mut pool, signal);
+        let (on, off) = (pool.minterms_cover(on), pool.minterms_cover(off));
         if on.intersects(&off) {
             let witness = on
                 .intersect(&off)

@@ -32,8 +32,9 @@ pub enum SynthesisError {
         /// The signal's name.
         signal: String,
     },
-    /// Exact cut enumeration inside one slice reached more distinct
-    /// markings than its budget allows.
+    /// Exact cut enumeration reached more distinct markings than its
+    /// budget allows: exact mode's one walk over the whole segment, or one
+    /// slice traversal of approximate mode's exact fallbacks.
     SliceBudgetExceeded {
         /// The configured budget.
         budget: usize,
@@ -70,7 +71,7 @@ impl fmt::Display for SynthesisError {
                 write!(f, "signal `{signal}` never changes; no gate is needed")
             }
             SynthesisError::SliceBudgetExceeded { budget } => {
-                write!(f, "slice enumeration exceeded {budget} markings")
+                write!(f, "exact cut enumeration exceeded {budget} markings")
             }
             SynthesisError::InconsistentCovers { signal, witness } => write!(
                 f,

@@ -1,25 +1,148 @@
-//! Exact cover derivation (the paper, §4.1): enumerate the cuts
-//! encapsulated in a slice and recover their binary codes.
+//! Exact cover derivation (the paper, §4.1): enumerate the cuts of the
+//! segment and recover their binary codes.
 //!
 //! This is the mode that "benefits from the unfolding methodology which
 //! restricts the set of states needed to examine for each signal" but "may
 //! suffer from exponential explosion of states" — which is why the
-//! approximate mode (module [`crate::approx`]) exists. It is also the sound
-//! fallback the refinement loop escalates to.
+//! approximate mode (module [`crate::approx`]) exists.
+//!
+//! A signal's on- and off-slices together cover every reachable state, so
+//! exact mode classifies all states in one walk over the segment
+//! ([`classify_reachable`]) instead of enumerating each slice. The
+//! per-slice traversals remain for the callers that need one slice's codes:
+//! the refinement loop's exact fallback, the §6 membership probes and the
+//! excitation regions of the Set/Reset architectures.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
 use std::hash::BuildHasher;
 use std::ops::ControlFlow;
 
-use si_cubes::implicit::{ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::{Cover, Cube};
-use si_stg::{BinaryCode, SignalId, Stg};
+use si_stategraph::SgClassification;
+use si_stg::{BinaryCode, Polarity, SignalId, Stg};
 use si_unfolding::{ConditionId, EventId, StgUnfolding};
 
 use crate::covers::code_to_cube;
 use crate::error::SynthesisError;
 use crate::slice::Slice;
+
+/// Classifies every reachable state of `stg` in one walk over its segment
+/// `unf`: each distinct marking is recorded once, with its binary code and
+/// the signals whose rising or falling change the STG enables there. Each
+/// signal's exact on- and off-sets then follow from
+/// [`SgClassification::sets_into`], the SG baseline's implied-value rule,
+/// so they are the point sets the state graph yields.
+///
+/// The walk starts at the initial cut with the initial code and fires only
+/// non-cutoff events, so every state it holds is the final state of a
+/// cutoff-free configuration. It expands level by level in configuration
+/// size — every row of size `k` is popped before any row of size `k + 1` —
+/// and deduplicates by marking when a row is pushed, so each marking is
+/// first reached at the smallest size any configuration reaching it has.
+///
+/// Why this reaches every reachable marking, under McMillan's order (the
+/// default; the argument is the completeness of his prefix, CAV 1992,
+/// specialised to this walk): the unfolder declares `e` a cutoff only when
+/// a configuration `⌈e'⌉` with `|⌈e'⌉| < |⌈e⌉|` reaches `Mark(⌈e⌉)`. Let
+/// `M` be reachable and `d(M)` the smallest size of a configuration
+/// reaching it. If `d(M) = k + 1`, remove a maximal event `e` (of
+/// transition `t`) from such a configuration; the rest reaches some `M'`
+/// with `d(M') = k`, since a smaller configuration reaching `M'` would
+/// extend by `t` to a smaller one reaching `M`. By induction the walk holds a cutoff-free representative
+/// `R` of size `k` for `M'`. Its cut contains no condition produced by a
+/// cutoff, so the event `f` extending `R` by `t` is in the segment. Were
+/// `f` a cutoff, `R ∪ {f}` would be `⌈f⌉` followed by some extension `E`,
+/// and `⌈f'⌉` followed by a copy of `E` would reach `M` with fewer than
+/// `k + 1` events, contradicting `d(M) = k + 1`. So the walk fires `f` at
+/// level `k` and reaches `M` at level `k + 1`.
+///
+/// A depth-first order would keep the first representative it finds, which
+/// need not be of minimal size, so the induction would not carry once
+/// cutoffs are skipped: the levels are essential. Under
+/// [`si_unfolding::AdequateOrder::ErvLex`] a cutoff can tie its
+/// representative's size, so the argument does not cover that order.
+///
+/// `budget` bounds the number of distinct markings the walk reaches,
+/// checked as each row is popped, so a walk that reaches `n` markings
+/// succeeds exactly when `budget >= n` — the rule of [`slice_codes`].
+///
+/// # Errors
+///
+/// Returns [`SynthesisError::SliceBudgetExceeded`] when the walk reaches
+/// more than `budget` distinct markings.
+pub fn classify_reachable(
+    stg: &Stg,
+    unf: &StgUnfolding,
+    budget: usize,
+) -> Result<SgClassification, SynthesisError> {
+    let rows = RowLayout::new(unf);
+    // Every labelled STG transition, with its preset as place indices.
+    let changes: Vec<(Vec<usize>, SignalId, Polarity)> = stg
+        .net()
+        .transitions()
+        .filter_map(|t| {
+            let label = stg.label(t)?;
+            let preset = stg.net().preset(t).iter().map(|p| p.index()).collect();
+            Some((preset, label.signal, label.polarity))
+        })
+        .collect();
+    let words = unf.signal_count().div_ceil(64);
+    let (mut rise, mut fall) = (vec![0u64; words], vec![0u64; words]);
+    let mut class = SgClassification::with_width(unf.signal_count());
+
+    let mut row = rows.start(unf.min_stable_cut(EventId::ROOT), unf.initial_code());
+    let mut next = row.clone();
+    let mut seen = SeenWords::default();
+    seen.insert(rows.marking(&row));
+    let mut level: Vec<u64> = row.clone();
+    let mut next_level: Vec<u64> = Vec::new();
+    // `stamp[e] == generation` marks `e` as already examined at this cut.
+    let mut stamp: Vec<u64> = vec![0; unf.event_count()];
+    let mut generation = 0u64;
+
+    loop {
+        if !pop_row(&mut level, &mut row) {
+            if next_level.is_empty() {
+                return Ok(class);
+            }
+            std::mem::swap(&mut level, &mut next_level);
+            continue;
+        }
+        if seen.len() > budget {
+            return Err(SynthesisError::SliceBudgetExceeded { budget });
+        }
+        rise.fill(0);
+        fall.fill(0);
+        for (preset, signal, polarity) in &changes {
+            if preset.iter().all(|&p| rows.marked(&row, p)) {
+                let excited = match polarity {
+                    Polarity::Rise => &mut rise,
+                    Polarity::Fall => &mut fall,
+                };
+                set_bit(excited, signal.index());
+            }
+        }
+        class.push(rows.code(&row), &rise, &fall);
+
+        generation += 1;
+        for b in rows.cut(&row) {
+            for &e in unf.consumers(b) {
+                if unf.is_cutoff(e) || stamp[e.index()] == generation {
+                    continue;
+                }
+                stamp[e.index()] = generation;
+                if !unf.preset(e).iter().all(|&c| rows.in_cut(&row, c)) {
+                    continue;
+                }
+                rows.fire(unf, &row, e, &mut next);
+                if seen.insert(rows.marking(&next)) {
+                    next_level.extend_from_slice(&next);
+                }
+            }
+        }
+    }
+}
 
 /// Enumerates the binary codes of every state represented by the slice —
 /// the cuts reachable from the min-cut without firing an exit, excluding
@@ -492,8 +615,8 @@ pub fn cover_true_within_slices(
 /// The exact cover of one side (on- or off-set) of a signal: the union of
 /// the minterms of every slice's codes, in canonical cube order (so the
 /// minimiser's input — and therefore its output — does not depend on slice
-/// traversal order, and matches what materialising [`exact_side_set`]
-/// yields).
+/// traversal order). The per-slice oracle for [`classify_reachable`]: the
+/// point sets agree with the walk's on every side.
 ///
 /// # Errors
 ///
@@ -517,34 +640,6 @@ pub fn exact_side_cover(
     }
     cubes.sort_by(Cube::cmp_canonical);
     Ok(cubes.into_iter().collect())
-}
-
-/// The exact side cover as an *implicit* set in `pool`: every slice code is
-/// accumulated into the canonical disjoint-cube diagram instead of one
-/// materialised minterm per state, so downstream intersection checks and
-/// minimisation track the implicit size rather than the state count.
-///
-/// The point set equals [`exact_side_cover`]'s (duplicates collapse in the
-/// diagram).
-///
-/// # Errors
-///
-/// Propagates [`SynthesisError::SliceBudgetExceeded`].
-pub fn exact_side_set(
-    stg: &Stg,
-    unf: &StgUnfolding,
-    slices: &[Slice],
-    budget: usize,
-    pool: &mut ImplicitPool,
-) -> Result<ImplicitCover, SynthesisError> {
-    let mut list = MintermList::new(pool.width());
-    for slice in slices {
-        for_each_slice_code(stg, unf, slice, budget, |code| {
-            list.push_blocks(code.words());
-            ControlFlow::Continue(())
-        })?;
-    }
-    Ok(pool.from_minterms(&mut list))
 }
 
 #[cfg(test)]

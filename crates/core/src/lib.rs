@@ -8,9 +8,11 @@
 //!
 //! Two modes are provided, as in the paper:
 //!
-//! * **exact** ([`CoverMode::Exact`]) — enumerate the cuts encapsulated in
-//!   the on-/off-set [slices](slice::Slice) of the segment and recover their
-//!   binary codes (§4.1);
+//! * **exact** ([`CoverMode::Exact`]) — enumerate the cuts of the segment
+//!   and recover their binary codes (§4.1). The on-/off-set
+//!   [slices](slice::Slice) of all signals together cover every reachable
+//!   state, so one walk over the segment classifies them all
+//!   ([`exact::classify_reachable`]);
 //! * **approximate** ([`CoverMode::Approximate`], the default) — build cheap
 //!   ER/MR cover approximations from the concurrency relation (§4.2) and
 //!   refine them until the on- and off-set covers stop intersecting (§4.3),

@@ -8,20 +8,21 @@ use std::time::{Duration, Instant};
 use si_cubes::implicit::{ImplicitCover, ImplicitPool};
 use si_cubes::par::par_map;
 use si_cubes::{minimize, minimize_implicit, Cover, Cube};
+use si_stategraph::SgClassification;
 use si_stg::{SignalId, Stg};
 use si_unfolding::{check_segment_persistency, StgUnfolding, UnfoldingOptions};
 
 use crate::approx::{approximate_side, side_cover};
 use crate::error::SynthesisError;
-use crate::exact::{cover_true_within_slices, exact_side_set};
+use crate::exact::{classify_reachable, cover_true_within_slices};
 use crate::refine::{refine_until_disjoint, RefinementReport};
 use crate::slice::side_slices;
 
 /// How the on-/off-set covers are derived from the segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoverMode {
-    /// Enumerate all cuts inside each slice (the paper's exact approach —
-    /// may explode under concurrency).
+    /// Enumerate every reachable cut of the segment (the paper's exact
+    /// approach — may explode under concurrency), classified in one walk.
     Exact,
     /// Concurrency-relation approximation with iterative refinement (the
     /// paper's main contribution).
@@ -53,9 +54,11 @@ pub struct SynthesisOptions {
     pub mode: CoverMode,
     /// Maximum cube-level refinement steps per signal before escalating.
     pub max_refinement_steps: usize,
-    /// Budget for exact slice enumeration: the most distinct markings one
-    /// slice traversal may reach (marking-equal cuts count once), checked
-    /// each time a state is taken off its stack.
+    /// Budget for exact enumeration, in distinct markings reached
+    /// (marking-equal cuts count once), checked each time a state is taken
+    /// off its stack. In exact mode it bounds the one walk over the whole
+    /// segment; in approximate mode it bounds each slice traversal of the
+    /// exact fallbacks and §6 probes separately.
     pub slice_budget: usize,
     /// Check semi-modularity on the segment before synthesising.
     pub check_persistency: bool,
@@ -122,10 +125,11 @@ pub struct TimingBreakdown {
     pub unfold: Duration,
     /// `SynTim`: deriving the on-/off-set covers (wall clock).
     pub derive: Duration,
-    /// Portion of the derivation spent building slices and their initial
-    /// covers (ER/MR approximation or exact enumeration), summed over the
-    /// per-signal worker tasks — CPU time, so it can exceed the wall-clock
-    /// `derive` when workers run in parallel.
+    /// Portion of the derivation spent building the initial covers: in
+    /// approximate mode the slices and their ER/MR approximations, in exact
+    /// mode the one walk over the segment plus each signal's on/off-set
+    /// build. Summed over the per-signal worker tasks — CPU time, so it can
+    /// exceed the wall-clock `derive` when workers run in parallel.
     pub slices: Duration,
     /// Portion of the derivation spent making the covers disjoint (the
     /// refinement loop, exact escalations and §6 weak-condition probes),
@@ -170,12 +174,14 @@ impl UnfoldingSynthesis {
 ///
 /// * [`SynthesisError::Unfold`] if the segment cannot be built;
 /// * [`SynthesisError::NotPersistent`] if semi-modularity fails;
-/// * [`SynthesisError::CscViolation`] if some signal's covers intersect
-///   even after exact derivation;
 /// * [`SynthesisError::ConstantSignal`] for implementable signals without
 ///   transitions;
-/// * [`SynthesisError::SliceBudgetExceeded`] if exact enumeration blows the
-///   slice budget.
+/// * [`SynthesisError::SliceBudgetExceeded`] if exact mode's walk reaches
+///   more markings than `slice_budget` (reported before any CSC violation,
+///   since the walk precedes every signal's check), or if one of
+///   approximate mode's exact fallbacks does within its slice;
+/// * [`SynthesisError::CscViolation`] if some signal's covers intersect
+///   even after exact derivation.
 ///
 /// # Examples
 ///
@@ -216,12 +222,23 @@ pub fn synthesize_from_unfolding(
             });
         }
     }
+    // Exact mode classifies every reachable state once, up front; each
+    // signal's sets are then built from that shared classification.
+    let (states, walk) = match options.mode {
+        CoverMode::Exact => {
+            let walk_start = Instant::now();
+            let states = classify_reachable(stg, &unf, options.slice_budget)?;
+            (Some(states), walk_start.elapsed())
+        }
+        CoverMode::Approximate => (None, Duration::ZERO),
+    };
     // Derive every signal's covers on the worker pool. Results come back in
     // signal order, so on failure the reported error is the same one the
     // sequential loop would have hit first.
     let mut per_signal = Vec::with_capacity(signals.len());
-    for derived in par_map(&signals, options.workers, |_, &signal| {
-        derive_covers(stg, &unf, signal, options)
+    for derived in par_map(&signals, options.workers, |_, &signal| match &states {
+        Some(states) => exact_covers(stg, states, signal),
+        None => approximate_covers(stg, &unf, signal, options),
     }) {
         per_signal.push(derived?);
     }
@@ -253,7 +270,7 @@ pub fn synthesize_from_unfolding(
         })
     });
     let mut gates = Vec::with_capacity(per_signal.len());
-    let (mut slices_time, mut refine_time) = (Duration::ZERO, Duration::ZERO);
+    let (mut slices_time, mut refine_time) = (walk, Duration::ZERO);
     for (entry, gate) in per_signal.into_iter().zip(minimized) {
         slices_time += entry.slices;
         refine_time += entry.refine;
@@ -329,8 +346,44 @@ impl DerivedCovers {
     }
 }
 
-/// Derives the final, checked on-/off-set covers for one signal.
-fn derive_covers(
+/// Exact mode: builds one signal's on/off point sets from the shared
+/// classification of every reachable state and checks them for CSC.
+fn exact_covers(
+    stg: &Stg,
+    states: &SgClassification,
+    signal: SignalId,
+) -> Result<DerivedCovers, SynthesisError> {
+    let sets_start = Instant::now();
+    let mut pool = ImplicitPool::new(stg.signal_count());
+    let (on, off) = states.sets_into(&mut pool, signal);
+    let slices = sets_start.elapsed();
+    let shared = pool.intersect(on, off);
+    if let Some(bits) = pool.first_minterm(shared) {
+        return Err(SynthesisError::CscViolation {
+            signal: stg.signal_name(signal).to_owned(),
+            witness: Cube::minterm(bits).to_string(),
+        });
+    }
+    // The public covers materialise as the diagram's canonical disjoint-cube
+    // form — the same point sets as `exact_side_cover`'s minterm lists, but
+    // sized by the implicit representation rather than the state count.
+    let on_cover = pool.to_cover(on);
+    let off_cover = pool.to_cover(off);
+    Ok(DerivedCovers {
+        signal,
+        on_cover,
+        off_cover,
+        refinement: None,
+        sets: Mutex::new((pool, on, off)),
+        minterm_sets: true,
+        slices,
+        refine: Duration::ZERO,
+    })
+}
+
+/// Approximate mode: derives one signal's final, checked on-/off-set covers
+/// from its slices, refining until they are disjoint.
+fn approximate_covers(
     stg: &Stg,
     unf: &StgUnfolding,
     signal: SignalId,
@@ -340,83 +393,47 @@ fn derive_covers(
     let on_slices = side_slices(unf, signal, true);
     let off_slices = side_slices(unf, signal, false);
     let mut pool = ImplicitPool::new(unf.signal_count());
-    match options.mode {
-        CoverMode::Exact => {
-            // Slice codes stream straight into the diagram: no minterm cube
-            // per state is ever materialised.
-            let on = exact_side_set(stg, unf, &on_slices, options.slice_budget, &mut pool)?;
-            let off = exact_side_set(stg, unf, &off_slices, options.slice_budget, &mut pool)?;
-            let slices = slices_start.elapsed();
-            let shared = pool.intersect(on, off);
-            if let Some(bits) = pool.first_minterm(shared) {
-                return Err(SynthesisError::CscViolation {
-                    signal: stg.signal_name(signal).to_owned(),
-                    witness: Cube::minterm(bits).to_string(),
-                });
-            }
-            // The public covers materialise as the diagram's canonical
-            // disjoint-cube form — the same point sets as
-            // `exact_side_cover`'s minterm lists, but sized by the implicit
-            // representation rather than the state count.
-            let on_cover = pool.to_cover(on);
-            let off_cover = pool.to_cover(off);
-            Ok(DerivedCovers {
-                signal,
-                on_cover,
-                off_cover,
-                refinement: None,
-                sets: Mutex::new((pool, on, off)),
-                minterm_sets: true,
-                slices,
-                refine: Duration::ZERO,
-            })
-        }
-        CoverMode::Approximate => {
-            let mut on_atoms = approximate_side(stg, unf, &on_slices);
-            let mut off_atoms = approximate_side(stg, unf, &off_slices);
-            let slices = slices_start.elapsed();
-            let refine_start = Instant::now();
-            // §6 weak condition, first chance: if the raw approximations
-            // intersect only inside the DC-set, skip refinement entirely
-            // and keep the DC freedom for the minimiser.
-            if options.correctness == CorrectnessCondition::Weak {
-                let on = side_cover(&on_atoms, unf.signal_count());
-                let off = side_cover(&off_atoms, unf.signal_count());
-                if let Some((on, off)) =
-                    accept_weak(stg, unf, &on_slices, &off_slices, on, off, options)
-                {
-                    let covers = DerivedCovers::approximate(signal, pool, on, off, None);
-                    return Ok(DerivedCovers {
-                        slices,
-                        refine: refine_start.elapsed(),
-                        ..covers
-                    });
-                }
-            }
-            let report = refine_until_disjoint(
-                stg,
-                unf,
-                &on_slices,
-                &off_slices,
-                &mut on_atoms,
-                &mut off_atoms,
-                options.max_refinement_steps,
-                options.slice_budget,
-                &mut pool,
-            )?;
-            let on = side_cover(&on_atoms, unf.signal_count());
-            let off = side_cover(&off_atoms, unf.signal_count());
-            if !report.disjoint {
-                return Err(csc_error(stg, signal, &on, &off));
-            }
-            let covers = DerivedCovers::approximate(signal, pool, on, off, Some(report));
-            Ok(DerivedCovers {
+    let mut on_atoms = approximate_side(stg, unf, &on_slices);
+    let mut off_atoms = approximate_side(stg, unf, &off_slices);
+    let slices = slices_start.elapsed();
+    let refine_start = Instant::now();
+    // §6 weak condition, first chance: if the raw approximations intersect
+    // only inside the DC-set, skip refinement entirely and keep the DC
+    // freedom for the minimiser.
+    if options.correctness == CorrectnessCondition::Weak {
+        let on = side_cover(&on_atoms, unf.signal_count());
+        let off = side_cover(&off_atoms, unf.signal_count());
+        if let Some((on, off)) = accept_weak(stg, unf, &on_slices, &off_slices, on, off, options) {
+            let covers = DerivedCovers::approximate(signal, pool, on, off, None);
+            return Ok(DerivedCovers {
                 slices,
                 refine: refine_start.elapsed(),
                 ..covers
-            })
+            });
         }
     }
+    let report = refine_until_disjoint(
+        stg,
+        unf,
+        &on_slices,
+        &off_slices,
+        &mut on_atoms,
+        &mut off_atoms,
+        options.max_refinement_steps,
+        options.slice_budget,
+        &mut pool,
+    )?;
+    let on = side_cover(&on_atoms, unf.signal_count());
+    let off = side_cover(&off_atoms, unf.signal_count());
+    if !report.disjoint {
+        return Err(csc_error(stg, signal, &on, &off));
+    }
+    let covers = DerivedCovers::approximate(signal, pool, on, off, Some(report));
+    Ok(DerivedCovers {
+        slices,
+        refine: refine_start.elapsed(),
+        ..covers
+    })
 }
 
 /// Tries to accept intersecting covers under the weak correctness

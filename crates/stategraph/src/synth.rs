@@ -168,7 +168,9 @@ impl ImplicitOnOffSets {
 ///
 /// Build it once with [`SgClassification::new`] when deriving sets for
 /// several signals of the same SG (one `O(states × signals)` sweep total);
-/// [`on_off_sets_implicit`] is the one-signal convenience wrapper.
+/// [`on_off_sets_implicit`] is the one-signal convenience wrapper. A
+/// traversal that enumerates the reachable states without building the SG
+/// fills one with [`push`](SgClassification::push) instead.
 pub struct SgClassification {
     width: usize,
     blocks: usize,
@@ -186,6 +188,53 @@ impl SgClassification {
     /// rise/fall signal masks.
     pub fn new(stg: &Stg, sg: &StateGraph) -> Self {
         Self::build(stg, sg)
+    }
+
+    /// An empty classification over `width` signals, filled one state at a
+    /// time with [`push`](Self::push) by a traversal other than the
+    /// explicit SG's.
+    pub fn with_width(width: usize) -> Self {
+        SgClassification {
+            width,
+            blocks: width.div_ceil(64).max(1),
+            states: 0,
+            codes: Vec::new(),
+            rise: Vec::new(),
+            fall: Vec::new(),
+        }
+    }
+
+    /// Appends one state: its code and the signals whose rising and falling
+    /// changes are excited there, each packed in [`si_stg::BinaryCode::words`]
+    /// layout (`width.div_ceil(64)` words, signal `i` at bit `i % 64` of
+    /// word `i / 64`). The caller pushes every reachable state exactly once.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a row has the wrong number of words.
+    pub fn push(&mut self, code: &[u64], rise: &[u64], fall: &[u64]) {
+        let words = self.width.div_ceil(64);
+        for (table, row) in [
+            (&mut self.codes, code),
+            (&mut self.rise, rise),
+            (&mut self.fall, fall),
+        ] {
+            assert_eq!(row.len(), words, "state row width mismatch");
+            table.extend_from_slice(row);
+            // A zero-width code still takes the one block `MintermList` rows have.
+            table.resize(table.len() + self.blocks - words, 0);
+        }
+        self.states += 1;
+    }
+
+    /// Number of classified states.
+    pub fn len(&self) -> usize {
+        self.states
+    }
+
+    /// Returns `true` if no state has been classified.
+    pub fn is_empty(&self) -> bool {
+        self.states == 0
     }
 
     /// The implicit on/off sets of `signal`, derived from the shared sweep.
