@@ -71,6 +71,6 @@ mod par;
 mod sift;
 
 pub use convert::{ConvertError, TranslationCache};
-pub use manager::{Bdd, BddManager, OpCounts, ReentrantConfig};
+pub use manager::{Bdd, BddManager, MaintenanceStats, OpCounts, ReentrantConfig};
 pub use order::order_from_adjacency;
 pub use sift::{AutoReorder, ReorderPolicy};

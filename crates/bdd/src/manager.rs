@@ -9,6 +9,7 @@
 //! kernel trips its live-node checkpoint mid-operation.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use crate::core::{Core, OpCtx, Task, FREE, ONE, ZERO};
 use crate::isop::IsopTables;
@@ -73,6 +74,30 @@ pub struct OpCounts {
     pub and_exists: u64,
 }
 
+/// Pool-maintenance totals of one manager: every [`gc`](BddManager::gc) and
+/// [`reorder_sift`](BddManager::reorder_sift) is counted and timed here,
+/// whether a driver called it between operations or the reentrant
+/// maintenance pass ran it inside one. The times are wall clock and the run
+/// counts depend on the GC/reorder schedule: do not pin them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MaintenanceStats {
+    /// Garbage collections run. A sift's own opening collection is part of
+    /// the sift and is not counted here.
+    pub gc_runs: usize,
+    /// Nodes reclaimed by those collections.
+    pub gc_collected: usize,
+    /// Wall-clock time spent in those collections.
+    pub gc_time: Duration,
+    /// Sifting passes run.
+    pub reorder_runs: usize,
+    /// Wall-clock time spent sifting, its opening collection included.
+    pub reorder_time: Duration,
+    /// Mid-operation maintenance passes (a collection, and a sift when the
+    /// policy allows, at a kernel checkpoint); their collections and sifts
+    /// are also in the totals above.
+    pub mid_op_runs: usize,
+}
+
 /// A reduced ordered BDD node pool over a fixed variable count, with a
 /// sharded unique table (hash-consing), memoised operation caches, an
 /// external-root protection set and a mark-and-sweep collector.
@@ -110,7 +135,7 @@ pub struct BddManager {
     threads: usize,
     maint: Option<ReentrantConfig>,
     op_counts: OpCounts,
-    maintenance_runs: usize,
+    pub(crate) maint_stats: MaintenanceStats,
     parallel_floor: usize,
 }
 
@@ -166,7 +191,7 @@ impl BddManager {
             threads: 1,
             maint: None,
             op_counts: OpCounts::default(),
-            maintenance_runs: 0,
+            maint_stats: MaintenanceStats::default(),
             parallel_floor: Self::DEFAULT_PARALLEL_FLOOR,
         }
     }
@@ -250,10 +275,10 @@ impl BddManager {
         self.maint
     }
 
-    /// Number of mid-operation maintenance passes (GC and/or reorder at a
-    /// kernel checkpoint) run so far. Schedule-dependent: do not pin.
-    pub fn maintenance_runs(&self) -> usize {
-        self.maintenance_runs
+    /// Collection and reordering totals so far, mid-operation passes
+    /// included (see [`MaintenanceStats`]). Schedule-dependent: do not pin.
+    pub fn maintenance_stats(&self) -> MaintenanceStats {
+        self.maint_stats
     }
 
     /// Deterministic per-manager operation counters (see [`OpCounts`]).
@@ -337,6 +362,17 @@ impl BddManager {
     /// Handles to collected nodes become stale — touching one afterwards is
     /// a logic error caught by a debug assertion.
     pub fn gc(&mut self) -> usize {
+        let start = Instant::now();
+        let collected = self.collect();
+        self.maint_stats.gc_runs += 1;
+        self.maint_stats.gc_collected += collected;
+        self.maint_stats.gc_time += start.elapsed();
+        collected
+    }
+
+    /// The sweep behind [`gc`](Self::gc), uncounted: reordering runs it as
+    /// part of its own pass.
+    pub(crate) fn collect(&mut self) -> usize {
         let len = self.core.store.len();
         let mut marked = vec![false; len];
         let mut stack: Vec<u32> = self.roots.keys().copied().collect();
@@ -532,7 +568,7 @@ impl BddManager {
         for &id in &operands {
             self.unprotect(Bdd(id));
         }
-        self.maintenance_runs += 1;
+        self.maint_stats.mid_op_runs += 1;
     }
 
     /// Number of satisfying assignments over the full `2^num_vars` space,
@@ -1071,5 +1107,22 @@ mod tests {
         // each) + 8 and = 24 public ites.
         assert_eq!(mgr.op_counts().ite, 24);
         mgr.assert_invariants();
+    }
+
+    #[test]
+    fn maintenance_stats_count_every_collection_and_sift() {
+        let mut mgr = BddManager::new(4);
+        let a = mgr.var(0);
+        let b = mgr.var(1);
+        let _ = mgr.xor(a, b);
+        let collected = mgr.gc();
+        mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
+        mgr.gc();
+        let totals = mgr.maintenance_stats();
+        // The sift's opening collection belongs to the sift.
+        assert_eq!(totals.gc_runs, 2);
+        assert_eq!(totals.gc_collected, collected);
+        assert_eq!(totals.reorder_runs, 1);
+        assert_eq!(totals.mid_op_runs, 0);
     }
 }

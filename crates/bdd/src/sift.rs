@@ -27,6 +27,8 @@
 //! deeper levels' lists; consumers filter them lazily by checking that a
 //! listed node still lives at that level.
 
+use std::time::Instant;
+
 use crate::core::{FREE, ONE};
 use crate::manager::BddManager;
 
@@ -158,9 +160,11 @@ impl BddManager {
     /// ([`DEFAULT_MAX_GROWTH`](Self::DEFAULT_MAX_GROWTH) is the usual cap).
     /// Returns `(live_before, live_after)`.
     ///
-    /// Runs [`gc`](Self::gc) first; unprotected handles are collected.
-    /// Handles that survive keep their ids and functions — only the
-    /// internal layout (and [`order`](Self::order)) changes.
+    /// Collects garbage first, as [`gc`](Self::gc) does; unprotected
+    /// handles are collected. Handles that survive keep their ids and
+    /// functions — only the internal layout (and [`order`](Self::order))
+    /// changes. Every call, opening collection included, counts as one
+    /// reorder run in [`maintenance_stats`](Self::maintenance_stats).
     ///
     /// # Panics
     ///
@@ -170,7 +174,16 @@ impl BddManager {
             max_growth >= 1.0,
             "growth cap below 1.0 forbids standing still"
         );
-        self.gc();
+        let start = Instant::now();
+        let sizes = self.sift_all(max_growth);
+        self.maint_stats.reorder_runs += 1;
+        self.maint_stats.reorder_time += start.elapsed();
+        sizes
+    }
+
+    /// The pass behind [`reorder_sift`](Self::reorder_sift).
+    fn sift_all(&mut self, max_growth: f64) -> (usize, usize) {
+        self.collect();
         self.core.clear_caches();
         self.isop.clear();
         let before = self.pool_size();

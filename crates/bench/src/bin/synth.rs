@@ -414,7 +414,7 @@ fn run_sg(
             };
             let reach_time = reach_start.elapsed();
             (
-                sg.len().to_string(),
+                format!("{} states", sg.len()),
                 reach_time,
                 synthesize_from_built_sg(stg, &sg, &options),
             )
@@ -431,6 +431,7 @@ fn run_sg(
             let reach = sym.reach();
             let final_reach_nodes = reach.manager().node_count(reach.reachable());
             symbolic_stats = Some((reach.stats().clone(), final_reach_nodes));
+            let states = format!("{} states, {} passes", sym.state_count(), reach.steps());
             // The synth phase, split so extraction (reachable BDD →
             // per-signal implicit sets) is timed apart from the
             // minimiser — the ExtTim row below.
@@ -440,7 +441,7 @@ fn run_sg(
                 extraction_time = Some(ext_start.elapsed());
                 synthesize_from_on_off_sets(stg, sets, &options)
             });
-            (sym.state_count().to_string(), reach_time, result)
+            (states, reach_time, result)
         }
     };
     let syn_time = reach_start.elapsed() - reach_time;
@@ -464,11 +465,7 @@ fn run_sg(
         println!("  auto choice: {note}");
     }
     println!("{:>10} {:>10}", "Phase", "Time");
-    println!(
-        "{:>10} {:>10}   ({states} states)",
-        "reach",
-        secs(reach_time)
-    );
+    println!("{:>10} {:>10}   ({states})", "reach", secs(reach_time));
     if let Some((stats, final_reach_nodes)) = &symbolic_stats {
         // Pool-maintenance slices of the reach phase (already included in
         // the reach row): how much of it went to keeping the pool small.

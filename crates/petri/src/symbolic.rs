@@ -8,6 +8,14 @@
 //! *diagram size* of the state set instead of its cardinality: concurrent
 //! sections multiply the state count but only add to the diagram.
 //!
+//! The fixpoint is **chained** (Roig, Cortadella and Pastor, *Verification
+//! of asynchronous circuits by BDD-based model checking of Petri nets*,
+//! ICATPN 1995): within one pass the transitions fire in transition-id
+//! order, each from the pass's frontier plus every state found earlier in
+//! the same pass. A token can therefore run down a whole pipeline in one
+//! pass, and the pass count falls far below the depth of the state graph
+//! that a frontier-only breadth-first loop would need.
+//!
 //! The encoding is deliberately wider than bare markings: callers may attach
 //! **auxiliary state variables** updated by transitions
 //! ([`SymbolicOptions::aux_vars`] / [`AuxAction`]). The state-graph layer
@@ -41,7 +49,7 @@
 //! # }
 //! ```
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use si_bdd::{AutoReorder, Bdd, BddManager, OpCounts, ReentrantConfig, ReorderPolicy};
 
@@ -153,13 +161,20 @@ impl Default for SymbolicOptions {
 }
 
 /// Collection/reordering telemetry of one [`SymbolicReach::explore`] run.
+///
+/// The collection and sifting totals are the manager's own
+/// ([`BddManager::maintenance_stats`]): they count the passes run between
+/// fixpoint passes *and* those the reentrant maintenance ran inside an
+/// operation.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolicStats {
-    /// Garbage-collection passes run between fixpoint iterations.
+    /// Garbage-collection passes run, between fixpoint passes or
+    /// mid-operation.
     pub gc_runs: usize,
     /// Total nodes reclaimed by those passes.
     pub gc_collected: usize,
-    /// Sifting passes run (auto-triggered or budget-pressure).
+    /// Sifting passes run: auto-triggered, under budget pressure, or
+    /// mid-operation.
     pub reorder_runs: usize,
     /// Wall-clock time spent collecting.
     pub gc_time: Duration,
@@ -180,7 +195,9 @@ pub struct SymbolicStats {
     /// GC/reorder schedule — the perf proxy CI pins on a 1-CPU runner.
     pub ops: OpCounts,
     /// Reentrant mid-operation maintenance passes (GC/reorder at a kernel
-    /// checkpoint). Schedule-dependent: do not pin.
+    /// checkpoint); their collections and sifts are also counted in
+    /// [`gc_runs`](Self::gc_runs) and [`reorder_runs`](Self::reorder_runs).
+    /// Schedule-dependent: do not pin.
     pub reentrant_maintenance: usize,
     /// Largest pool size sampled at kernel checkpoints or operation
     /// boundaries — visible even when the peak occurred *inside* one
@@ -222,7 +239,26 @@ pub struct SymbolicReach {
 
 impl SymbolicReach {
     /// Computes the reachable set of `net` (plus auxiliary state) as a
-    /// least fixpoint of the per-transition image relations.
+    /// least fixpoint of the per-transition image relations, in chained
+    /// passes.
+    ///
+    /// Each pass fires the non-frozen transitions once each, in
+    /// transition-id order. A transition fires from the pass's frontier
+    /// plus every state found earlier in the same pass, so the states one
+    /// transition finds feed the next transition at once. The next
+    /// frontier is every state first found in this pass, and the fixpoint
+    /// ends after a pass that finds nothing. Garbage collection, sifting
+    /// and the node-budget check run between passes (and, with
+    /// [`SymbolicOptions::reentrant`], inside long operations).
+    ///
+    /// Unsafety is still caught: every firing set is checked for a marked
+    /// postset place outside the preset (unless
+    /// [`SymbolicOptions::assume_one_safe`]), and every reachable state
+    /// meets every transition in some firing set. A state found by
+    /// transition `t` meets the higher-indexed transitions later in the
+    /// same pass, and all transitions in the next pass, where it is part
+    /// of the frontier. A violation that only a later-indexed transition's
+    /// states expose is thus reported one pass later.
     ///
     /// # Errors
     ///
@@ -296,20 +332,24 @@ impl SymbolicReach {
         // manager protects only the interrupted operation's own operands.
         // Every loop-carried handle must therefore stay pinned by this
         // driver for as long as it is needed — not just across the
-        // between-iteration checkpoint. Intermediates (`firing`, `freed`,
-        // `image`) need no pin: whenever one is still needed it is an
-        // operand of the operation in flight.
+        // between-pass checkpoint. Intermediates (`firing`, `freed`,
+        // `image`, `fresh`) need no pin: whenever one is still needed it is
+        // an operand of the operation in flight.
         mgr.protect(reachable);
         mgr.protect(frontier);
         let mut steps = 0usize;
         while !frontier.is_false() {
             steps += 1;
-            let mut next = mgr.zero();
+            // `source` is the frontier plus every state this pass has found
+            // so far; `found` is the states first found in this pass.
+            let mut source = frontier;
+            let mut found = mgr.zero();
+            mgr.protect(source);
             for (ti, rel) in relations.iter().enumerate() {
                 if rel.frozen {
                     continue;
                 }
-                let firing = mgr.and(frontier, rel.guard);
+                let firing = mgr.and(source, rel.guard);
                 if firing.is_false() {
                     continue;
                 }
@@ -329,20 +369,20 @@ impl SymbolicReach {
                 }
                 let freed = mgr.exists(firing, rel.changed);
                 let image = mgr.and(freed, rel.result);
-                let merged = mgr.or(next, image);
-                mgr.protect(merged);
-                mgr.unprotect(next);
-                next = merged;
+                let fresh = mgr.diff(image, reachable);
+                if fresh.is_false() {
+                    continue;
+                }
+                for set in [&mut reachable, &mut source, &mut found] {
+                    let grown = mgr.or(*set, fresh);
+                    mgr.protect(grown);
+                    mgr.unprotect(*set);
+                    *set = grown;
+                }
             }
-            let advanced = mgr.diff(next, reachable);
-            mgr.protect(advanced);
+            mgr.unprotect(source);
             mgr.unprotect(frontier);
-            frontier = advanced;
-            let grown = mgr.or(reachable, frontier);
-            mgr.protect(grown);
-            mgr.unprotect(reachable);
-            reachable = grown;
-            mgr.unprotect(next);
+            frontier = found;
             Self::maintain(
                 &mut mgr,
                 &mut auto,
@@ -379,8 +419,14 @@ impl SymbolicReach {
             }
         }
 
+        let totals = mgr.maintenance_stats();
+        stats.gc_runs = totals.gc_runs;
+        stats.gc_collected = totals.gc_collected;
+        stats.gc_time = totals.gc_time;
+        stats.reorder_runs = totals.reorder_runs;
+        stats.reorder_time = totals.reorder_time;
+        stats.reentrant_maintenance = totals.mid_op_runs;
         stats.ops = mgr.op_counts();
-        stats.reentrant_maintenance = mgr.maintenance_runs();
         stats.peak_pool = mgr.peak_pool();
 
         // The reentrant checkpoints are an explore-internal discipline:
@@ -428,10 +474,7 @@ impl SymbolicReach {
             mgr.protect(r);
         }
         if over_gc || over_budget {
-            let t = Instant::now();
-            stats.gc_collected += mgr.gc();
-            stats.gc_time += t.elapsed();
-            stats.gc_runs += 1;
+            mgr.gc();
         }
         let live = mgr.pool_size();
         let want_sift = (over_gc || over_budget)
@@ -443,10 +486,7 @@ impl SymbolicReach {
                 ReorderPolicy::Auto => auto.due(live) || live > options.node_budget,
             };
         if want_sift {
-            let t = Instant::now();
             mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
-            stats.reorder_time += t.elapsed();
-            stats.reorder_runs += 1;
             auto.rearm(mgr.pool_size());
         }
         for r in roots {
@@ -587,7 +627,9 @@ impl SymbolicReach {
         self.mgr.sat_count(self.reachable)
     }
 
-    /// Number of frontier iterations the fixpoint took.
+    /// Number of chained passes the fixpoint took, counting the last pass,
+    /// which finds no new state. This is usually far below the depth of
+    /// the state graph; see [`explore`](Self::explore).
     pub fn steps(&self) -> usize {
         self.steps
     }
@@ -713,6 +755,27 @@ mod tests {
         assert!(matches!(
             SymbolicReach::explore(&net, &SymbolicOptions::default()),
             Err(NetError::Unsafe { place, .. }) if place == p2
+        ));
+
+        // Reversed transition order: only the state that the later-indexed
+        // `t1` (a → b) finds enables `t0` (b → c), whose postset `c` is
+        // already marked. `t0` fires before `t1` in every pass, so it meets
+        // that state one pass later and must still report it.
+        let mut net = PetriNet::new();
+        let a = net.add_place("a");
+        let b = net.add_place("b");
+        let c = net.add_place("c");
+        let t0 = net.add_transition("t0");
+        let t1 = net.add_transition("t1");
+        net.add_arc_pt(b, t0);
+        net.add_arc_tp(t0, c);
+        net.add_arc_pt(a, t1);
+        net.add_arc_tp(t1, b);
+        net.mark_initially(a);
+        net.mark_initially(c);
+        assert!(matches!(
+            SymbolicReach::explore(&net, &SymbolicOptions::default()),
+            Err(NetError::Unsafe { place, transition, .. }) if place == c && transition == t0
         ));
     }
 
@@ -1024,9 +1087,16 @@ mod tests {
         let reach = SymbolicReach::explore(&net, &reentrant)
             .expect("reentrant maintenance keeps the run under budget");
         assert_eq!(reach.state_count(), r.state_count());
+        let stats = reach.stats();
         assert!(
-            reach.stats().reentrant_maintenance > 0,
+            stats.reentrant_maintenance > 0,
             "the in-kernel checkpoint must actually have fired"
+        );
+        assert!(
+            stats.gc_runs >= stats.reentrant_maintenance,
+            "every mid-operation collection must be counted: {} runs, {} mid-operation",
+            stats.gc_runs,
+            stats.reentrant_maintenance
         );
         assert_eq!(
             reach.stats().ops,

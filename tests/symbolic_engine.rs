@@ -173,6 +173,19 @@ fn wide_arbiter_needs_reordering_under_a_tight_budget() {
 }
 
 #[test]
+fn chained_passes_stay_far_below_the_state_graph_depth() {
+    // Each pass fires every transition from the frontier plus the states
+    // found earlier in the same pass, so a pipeline advances many stages
+    // per pass. A frontier-only loop needs one pass per level of the state
+    // graph: 106 on both specs below.
+    for (stg, passes) in [(muller_pipeline(12), 8), (wide_arbiter(12), 20)] {
+        let sym = SymbolicSg::build(&stg, &SymbolicTuning::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", stg.name()));
+        assert_eq!(sym.reach().steps(), passes, "{}", stg.name());
+    }
+}
+
+#[test]
 fn symbolic_engine_crosses_the_explicit_budget_wall() {
     // 14 stages ≈ 65 k states: an explicit budget of 10 k states dies, the
     // symbolic engine synthesises the pipeline's C-element equations
