@@ -1,38 +1,29 @@
-//! The concurrent node substrate: a chunked atomic node store, a unique
-//! table and operation caches sharded by hash behind fine-grained locks, and
-//! interruptible recursive kernels that any number of worker threads can run
-//! against the shared tables at once.
+//! The node substrate: one owned node store, a unique subtable per level,
+//! the memoised operation caches, and the interruptible recursive kernels
+//! that run over them.
 //!
-//! Everything here is safe Rust. Concurrency rests on three disciplines:
+//! The manager owns the only [`Core`]; kernels are `&mut self` methods over
+//! plain tables:
 //!
-//! * **Append-only node slots.** Node fields live in fixed-size chunks of
-//!   atomics behind [`OnceLock`]s; a slot's fields are written *before* its
-//!   id is published through a unique-table shard, and the shard's mutex
-//!   provides the happens-before edge for every later reader. Slots are
-//!   only recycled by [`gc`](crate::BddManager::gc), which runs quiesced
-//!   (`&mut` access), so concurrent readers never observe reuse.
-//! * **Sharded tables.** The unique table and the three operation caches
-//!   are split into [`SHARDS`] mutex-guarded maps selected by a fixed
-//!   deterministic hash, so concurrent kernels contend only when they touch
-//!   the same shard at the same instant.
-//! * **Cooperative interruption.** Kernels count their steps and poll a
-//!   trip flag every [`CHECK_INTERVAL`] steps; when the pool outgrows the
-//!   configured limit the flag latches, every running kernel unwinds with
-//!   [`Interrupted`], and the manager performs garbage collection and/or
-//!   reordering at the API boundary before retrying — the reentrant
-//!   maintenance that keeps one monster operation from blowing the budget
-//!   between the driver's own checkpoints.
-//!
-//! Canonicity is schedule-independent even though node *ids* are not: the
-//! hash-consing invariant (one live id per `(level, lo, hi)` triple) is
-//! maintained under the shard locks, so equal functions always share an id
-//! within a run, and all extracted artifacts (covers, witnesses, counts) go
-//! through semantics rather than ids.
+//! * **Node store.** Nodes live in one growable `Vec`. A new node pops the
+//!   free list (slots released by garbage collection or reordering) or else
+//!   appends, so node ids depend only on the sequence of operations.
+//! * **Unique table.** One subtable per level, keyed by the children
+//!   `(lo, hi)`. A growing subtable rehashes only its own level, and
+//!   sifting reads a level's nodes straight from its subtable.
+//! * **Operation caches.** `ite`, `exists` and `and_exists` results are
+//!   memoised in [`Cache`]s: a fixed hash split over plain maps.
+//! * **Cooperative interruption.** Kernels count their steps and every
+//!   [`CHECK_INTERVAL`] steps sample the pool peak and compare the pool
+//!   with the armed limit. Over it, the kernel unwinds with [`Interrupted`],
+//!   and the manager collects garbage (and may reorder) at the API boundary
+//!   before retrying: the reentrant maintenance that keeps one monster
+//!   operation from blowing the budget between the driver's own
+//!   checkpoints.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Terminal node id for the constant 0 function.
 pub(crate) const ZERO: u32 = 0;
@@ -44,22 +35,14 @@ pub(crate) const FREE: u32 = u32::MAX - 1;
 /// Level stored in the terminal slots.
 const TERMINAL_LEVEL: u32 = u32::MAX;
 
-/// Node slots per chunk (a power of two; ids split into chunk/offset bits).
-const CHUNK_BITS: usize = 16;
-const CHUNK_SIZE: usize = 1 << CHUNK_BITS;
-/// Chunk-table capacity: 2^31 node slots — far above any budgeted run.
-const MAX_CHUNKS: usize = 1 << 15;
-
-/// Shard count of the unique table and the operation caches. A fixed power
-/// of two: enough to make lock collisions rare at any sane thread count,
-/// small enough that clearing every shard stays cheap.
-pub(crate) const SHARDS: usize = 64;
+/// Node-store capacity: 2^31 slots — far above any budgeted run.
+const MAX_NODES: usize = 1 << 31;
 
 /// Kernel steps (recursive calls that miss the short-circuits, plus node
-/// constructions) between interruption polls. Polling reads two atomics, so
-/// the interval only has to amortise that; it also bounds how far past the
-/// live-node limit one operation can run before maintenance fires.
-pub(crate) const CHECK_INTERVAL: u64 = 1024;
+/// constructions) between interruption polls. The interval amortises the
+/// poll and bounds how far past the live-node limit one operation can run
+/// before maintenance fires.
+const CHECK_INTERVAL: u64 = 1024;
 
 /// Marker error unwinding an interrupted kernel to the API boundary, where
 /// the manager runs reentrant maintenance and retries.
@@ -68,21 +51,11 @@ pub(crate) struct Interrupted;
 
 pub(crate) type OpResult = Result<u32, Interrupted>;
 
-/// Locks a mutex, ignoring poisoning: the guarded tables are plain maps
-/// whose invariants hold between every two map operations, so a panic in
-/// another thread cannot leave them in a state worth refusing.
-pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// A deterministic multiply-rotate hasher (the rustc-hash construction):
 /// process-independent — unlike `RandomState` — and fast on the small fixed
-/// keys used here. Determinism matters because shard selection and map
-/// behaviour must be identical across runs for reproducible performance,
-/// even though no hash order ever reaches an output.
+/// keys used here, so table behaviour (and with it performance) repeats
+/// exactly from run to run, even though no hash order ever reaches an
+/// output.
 #[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
@@ -124,236 +97,153 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// Shard index of a three-word key.
-#[inline]
-fn shard3(a: u32, b: u32, c: u32) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(a);
-    h.write_u32(b);
-    h.write_u32(c);
-    ((h.finish() >> 32) as usize) & (SHARDS - 1)
+/// Maps per operation cache: a growing map rehashes 1/64 of its cache at a
+/// time. One map per cache was measured and raised the peak RSS of the
+/// default `synth` run on `benchmarks/wide_arbiter_16.g` (symbolic engine)
+/// from 126 to 145 MB.
+const CACHE_SHARDS: usize = 64;
+
+/// One memoised operation: `key → result node`, split by a fixed hash of
+/// the key over [`CACHE_SHARDS`] plain maps.
+struct Cache<K> {
+    shards: Box<[FxMap<K, u32>]>,
 }
 
-/// Shard index of a two-word key.
-#[inline]
-fn shard2(a: u32, b: u32) -> usize {
-    let mut h = FxHasher::default();
-    h.write_u32(a);
-    h.write_u32(b);
-    ((h.finish() >> 32) as usize) & (SHARDS - 1)
-}
+impl<K: Copy + Eq + Hash> Cache<K> {
+    fn new() -> Self {
+        Cache {
+            shards: (0..CACHE_SHARDS).map(|_| FxMap::default()).collect(),
+        }
+    }
 
-/// One fixed-size block of node slots. `level` and the packed `(lo, hi)`
-/// pair are atomics so workers can read nodes other workers just published;
-/// slots beyond the allocation high-water mark are never read.
-struct Chunk {
-    level: Box<[AtomicU32]>,
-    kids: Box<[AtomicU64]>,
-}
+    #[inline]
+    fn shard(key: &K) -> usize {
+        let mut h = FxHasher::default();
+        key.hash(&mut h);
+        ((h.finish() >> 32) as usize) & (CACHE_SHARDS - 1)
+    }
 
-impl Chunk {
-    fn new() -> Chunk {
-        Chunk {
-            level: (0..CHUNK_SIZE).map(|_| AtomicU32::new(FREE)).collect(),
-            kids: (0..CHUNK_SIZE).map(|_| AtomicU64::new(0)).collect(),
+    #[inline]
+    fn get(&self, key: &K) -> Option<u32> {
+        self.shards[Self::shard(key)].get(key).copied()
+    }
+
+    #[inline]
+    fn insert(&mut self, key: K, r: u32) {
+        self.shards[Self::shard(&key)].insert(key, r);
+    }
+
+    fn clear(&mut self) {
+        self.shards.iter_mut().for_each(FxMap::clear);
+    }
+
+    fn retain(&mut self, mut keep: impl FnMut(&K, u32) -> bool) {
+        for shard in self.shards.iter_mut() {
+            shard.retain(|key, r| keep(key, *r));
         }
     }
 }
 
-#[inline]
-fn pack(lo: u32, hi: u32) -> u64 {
-    (lo as u64) | ((hi as u64) << 32)
+/// One node slot: the branch level and the two children.
+#[derive(Clone, Copy)]
+struct Node {
+    level: u32,
+    lo: u32,
+    hi: u32,
 }
 
-/// The chunked append-only node store. The chunk table is a fixed array of
-/// [`OnceLock`]s so readers reach any published slot through one atomic
-/// load, with no global lock on the read path; chunks materialise lazily as
-/// the high-water mark crosses them.
-pub(crate) struct NodeStore {
-    chunks: Box<[OnceLock<Chunk>]>,
-    len: AtomicUsize,
-}
-
-impl NodeStore {
-    fn new() -> NodeStore {
-        let store = NodeStore {
-            chunks: (0..MAX_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(2),
-        };
-        let chunk = store.chunks[0].get_or_init(Chunk::new);
-        chunk.level[ZERO as usize].store(TERMINAL_LEVEL, Ordering::Release);
-        chunk.kids[ZERO as usize].store(pack(0, 0), Ordering::Release);
-        chunk.level[ONE as usize].store(TERMINAL_LEVEL, Ordering::Release);
-        chunk.kids[ONE as usize].store(pack(1, 1), Ordering::Release);
-        store
-    }
-
-    #[inline]
-    fn chunk(&self, id: u32) -> &Chunk {
-        match self.chunks[(id as usize) >> CHUNK_BITS].get() {
-            Some(c) => c,
-            // Ids are only minted by `bump`, which materialises the chunk
-            // before publishing the id.
-            None => unreachable!("node {id} beyond the allocated chunks"),
-        }
-    }
-
-    /// Raw slot read: `(level, lo, hi)` with no liveness check.
-    #[inline]
-    pub(crate) fn raw(&self, id: u32) -> (u32, u32, u32) {
-        let chunk = self.chunk(id);
-        let i = (id as usize) & (CHUNK_SIZE - 1);
-        let level = chunk.level[i].load(Ordering::Acquire);
-        let kids = chunk.kids[i].load(Ordering::Acquire);
-        (level, kids as u32, (kids >> 32) as u32)
-    }
-
-    /// The slot's level field alone.
-    #[inline]
-    pub(crate) fn level(&self, id: u32) -> u32 {
-        let chunk = self.chunk(id);
-        chunk.level[(id as usize) & (CHUNK_SIZE - 1)].load(Ordering::Acquire)
-    }
-
-    /// Writes all fields of a slot (children first, then the level, so a
-    /// racing level read never precedes the children becoming visible).
-    #[inline]
-    pub(crate) fn write(&self, id: u32, level: u32, lo: u32, hi: u32) {
-        let chunk = self.chunk(id);
-        let i = (id as usize) & (CHUNK_SIZE - 1);
-        chunk.kids[i].store(pack(lo, hi), Ordering::Release);
-        chunk.level[i].store(level, Ordering::Release);
-    }
-
-    /// Relabels a slot in place (reordering only; quiesced).
-    #[inline]
-    pub(crate) fn set_level(&self, id: u32, level: u32) {
-        let chunk = self.chunk(id);
-        chunk.level[(id as usize) & (CHUNK_SIZE - 1)].store(level, Ordering::Release);
-    }
-
-    /// Allocation high-water mark (terminals included).
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Reserves a fresh slot id at the end, materialising its chunk.
-    fn bump(&self) -> u32 {
-        let id = self.len.fetch_add(1, Ordering::AcqRel);
-        assert!(id < MAX_CHUNKS << CHUNK_BITS, "BDD node store exhausted");
-        let _ = self.chunks[id >> CHUNK_BITS].get_or_init(Chunk::new);
-        id as u32
-    }
-}
-
-/// Per-kernel-invocation state: the step counter driving interruption polls.
-/// Each worker thread carries its own, so polling involves no sharing.
-#[derive(Default)]
-pub(crate) struct OpCtx {
-    steps: u64,
-}
-
-impl OpCtx {
-    /// One kernel step: every [`CHECK_INTERVAL`] steps, poll the trip flag
-    /// and the live-pool limit, unwinding with [`Interrupted`] when either
-    /// says maintenance is due.
-    #[inline]
-    fn tick(&mut self, core: &Core) -> Result<(), Interrupted> {
-        self.steps += 1;
-        if self.steps.is_multiple_of(CHECK_INTERVAL) && core.poll_trip() {
-            return Err(Interrupted);
-        }
-        Ok(())
-    }
-}
-
-/// The sharded concurrent substrate shared by every kernel. All `&self`
-/// methods are safe to call from any number of threads; the `&mut self`
-/// maintenance entry points (collection, reordering, cache clearing) run
-/// quiesced by construction.
+/// The tables every kernel runs over, owned by one manager.
 pub(crate) struct Core {
     pub(crate) num_vars: usize,
-    pub(crate) store: NodeStore,
-    unique: Sharded<(u32, u32, u32)>,
-    ite_cache: Sharded<(u32, u32, u32)>,
-    exists_cache: Sharded<(u32, u32)>,
-    and_exists_cache: Sharded<(u32, u32, u32)>,
-    free: Mutex<Vec<u32>>,
-    free_count: AtomicUsize,
-    /// Latched when a checkpoint found the pool above `trip_limit`; every
-    /// kernel unwinds, the manager maintains, then rearms.
-    tripped: AtomicBool,
+    nodes: Vec<Node>,
+    free: Vec<u32>,
+    /// `unique[level]`: `(lo, hi) → id` for every live node at that level.
+    /// A level swap moves the lower level's subtable up whole.
+    pub(crate) unique: Vec<FxMap<(u32, u32), u32>>,
+    ite_cache: Cache<(u32, u32, u32)>,
+    exists_cache: Cache<(u32, u32)>,
+    and_exists_cache: Cache<(u32, u32, u32)>,
+    /// Kernel steps since the trip was last armed: one operation attempt.
+    steps: u64,
     /// Live-pool size above which kernels trip (`usize::MAX` = disabled).
-    trip_limit: AtomicUsize,
+    trip_limit: usize,
     /// Largest pool size observed at any interruption poll — the mid-op
     /// allocation peak the between-iteration statistics cannot see.
-    peak_pool: AtomicUsize,
-}
-
-/// A hash-sharded `key → node` map: [`SHARDS`] independently locked
-/// `FxHashMap`s. Two threads contend only when their keys hash into the
-/// same shard.
-type Sharded<K> = Box<[Mutex<FxMap<K, u32>>]>;
-
-fn shard_vec<K, V>() -> Box<[Mutex<FxMap<K, V>>]> {
-    (0..SHARDS).map(|_| Mutex::new(FxMap::default())).collect()
+    peak_pool: usize,
 }
 
 impl Core {
     pub(crate) fn new(num_vars: usize) -> Core {
+        let terminal = |id| Node {
+            level: TERMINAL_LEVEL,
+            lo: id,
+            hi: id,
+        };
         Core {
             num_vars,
-            store: NodeStore::new(),
-            unique: shard_vec(),
-            ite_cache: shard_vec(),
-            exists_cache: shard_vec(),
-            and_exists_cache: shard_vec(),
-            free: Mutex::new(Vec::new()),
-            free_count: AtomicUsize::new(0),
-            tripped: AtomicBool::new(false),
-            trip_limit: AtomicUsize::new(usize::MAX),
-            peak_pool: AtomicUsize::new(0),
+            nodes: vec![terminal(ZERO), terminal(ONE)],
+            free: Vec::new(),
+            unique: vec![FxMap::default(); num_vars],
+            ite_cache: Cache::new(),
+            exists_cache: Cache::new(),
+            and_exists_cache: Cache::new(),
+            steps: 0,
+            trip_limit: usize::MAX,
+            peak_pool: 0,
         }
     }
 
     /// Number of live non-terminal nodes (allocated minus freed).
     #[inline]
     pub(crate) fn pool_size(&self) -> usize {
-        self.store.len() - 2 - self.free_count.load(Ordering::Acquire)
+        self.nodes.len() - 2 - self.free.len()
     }
 
     /// Number of pool slots ever allocated (live or freed).
     #[inline]
     pub(crate) fn allocated_size(&self) -> usize {
-        self.store.len() - 2
+        self.nodes.len() - 2
+    }
+
+    /// Allocation high-water mark, terminals included: every id is below it.
+    #[inline]
+    pub(crate) fn slot_count(&self) -> usize {
+        self.nodes.len()
     }
 
     /// The mid-operation pool peak sampled at interruption polls.
     pub(crate) fn peak_pool(&self) -> usize {
-        self.peak_pool.load(Ordering::Acquire).max(self.pool_size())
+        self.peak_pool.max(self.pool_size())
     }
 
     /// Arms (or disarms, with `usize::MAX`) the mid-operation trip limit
-    /// and clears the latch.
-    pub(crate) fn arm_trip(&self, limit: usize) {
-        self.trip_limit.store(limit, Ordering::Release);
-        self.tripped.store(false, Ordering::Release);
+    /// and starts a new operation attempt's step count.
+    pub(crate) fn arm_trip(&mut self, limit: usize) {
+        self.trip_limit = limit;
+        self.steps = 0;
     }
 
-    /// One interruption poll: samples the pool peak and reports (latching)
-    /// whether the pool exceeds the armed limit.
-    fn poll_trip(&self) -> bool {
-        if self.tripped.load(Ordering::Relaxed) {
-            return true;
+    /// One kernel step: every [`CHECK_INTERVAL`] steps, sample the pool
+    /// peak and unwind with [`Interrupted`] if the pool exceeds the armed
+    /// limit.
+    #[inline]
+    fn tick(&mut self) -> Result<(), Interrupted> {
+        self.steps += 1;
+        if self.steps.is_multiple_of(CHECK_INTERVAL) {
+            let pool = self.pool_size();
+            self.peak_pool = self.peak_pool.max(pool);
+            if pool > self.trip_limit {
+                return Err(Interrupted);
+            }
         }
-        let pool = self.pool_size();
-        self.peak_pool.fetch_max(pool, Ordering::AcqRel);
-        if pool > self.trip_limit.load(Ordering::Relaxed) {
-            self.tripped.store(true, Ordering::Release);
-            return true;
-        }
-        false
+        Ok(())
+    }
+
+    /// Raw slot read: `(level, lo, hi)` with no liveness check.
+    #[inline]
+    pub(crate) fn raw(&self, id: u32) -> (u32, u32, u32) {
+        let Node { level, lo, hi } = self.nodes[id as usize];
+        (level, lo, hi)
     }
 
     /// Checked node read: `(level, lo, hi)`. Every walk goes through here
@@ -361,7 +251,7 @@ impl Core {
     /// freed (possibly reused) slot.
     #[inline]
     pub(crate) fn node(&self, n: u32) -> (u32, u32, u32) {
-        let raw = self.store.raw(n);
+        let raw = self.raw(n);
         debug_assert!(
             raw.0 != FREE,
             "stale Bdd handle: node {n} was garbage-collected"
@@ -374,12 +264,7 @@ impl Core {
         if n <= ONE {
             self.num_vars as u32
         } else {
-            let level = self.store.level(n);
-            debug_assert!(
-                level != FREE,
-                "stale Bdd handle: node {n} was garbage-collected"
-            );
-            level
+            self.node(n).0
         }
     }
 
@@ -396,64 +281,50 @@ impl Core {
         (n, n)
     }
 
-    /// Pops a freed slot or reserves a fresh one.
-    fn alloc_slot(&self) -> u32 {
-        {
-            let mut free = lock(&self.free);
-            if let Some(id) = free.pop() {
-                self.free_count.fetch_sub(1, Ordering::AcqRel);
-                return id;
-            }
-        }
-        self.store.bump()
-    }
-
-    /// Hash-consed node constructor with the `lo == hi` reduction, safe
-    /// under concurrency: the winning inserter's id is returned to every
-    /// racer, and a slot allocated for a lost race goes straight back to
-    /// the free list (its fields were never published).
-    pub(crate) fn mk(&self, level: u32, lo: u32, hi: u32, ctx: &mut OpCtx) -> OpResult {
+    /// Hash-consed node constructor with the `lo == hi` reduction and an
+    /// interruption poll.
+    fn mk(&mut self, level: u32, lo: u32, hi: u32) -> OpResult {
         if lo == hi {
             return Ok(lo);
         }
-        ctx.tick(self)?;
+        self.tick()?;
         Ok(self.mk_unchecked(level, lo, hi))
     }
 
     /// [`mk`](Self::mk) without the interruption poll — for bounded
-    /// builders (variables, cubes, reordering) that must not unwind.
-    pub(crate) fn mk_unchecked(&self, level: u32, lo: u32, hi: u32) -> u32 {
+    /// builders (variables, cubes, reordering) that must not unwind. A new
+    /// node takes the most recently freed slot, else a fresh one at the end.
+    pub(crate) fn mk_unchecked(&mut self, level: u32, lo: u32, hi: u32) -> u32 {
         if lo == hi {
             return lo;
         }
         debug_assert!(
-            (lo <= ONE || self.store.level(lo) != FREE)
-                && (hi <= ONE || self.store.level(hi) != FREE),
+            (lo <= ONE || self.raw(lo).0 != FREE) && (hi <= ONE || self.raw(hi).0 != FREE),
             "stale Bdd handle: child of a new node was garbage-collected"
         );
-        let key = (level, lo, hi);
-        let mut shard = lock(&self.unique[shard3(level, lo, hi)]);
-        if let Some(&id) = shard.get(&key) {
-            return id;
+        match self.unique[level as usize].entry((lo, hi)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let node = Node { level, lo, hi };
+                let id = match self.free.pop() {
+                    Some(id) => {
+                        self.nodes[id as usize] = node;
+                        id
+                    }
+                    None => {
+                        assert!(self.nodes.len() < MAX_NODES, "BDD node store exhausted");
+                        self.nodes.push(node);
+                        (self.nodes.len() - 1) as u32
+                    }
+                };
+                e.insert(id);
+                id
+            }
         }
-        // Publish order: fields first, then the map entry; the shard mutex
-        // is the release/acquire edge every other reader goes through.
-        let id = self.alloc_slot();
-        self.store.write(id, level, lo, hi);
-        shard.insert(key, id);
-        id
-    }
-
-    fn cache_get3(cache: &Sharded<(u32, u32, u32)>, key: (u32, u32, u32)) -> Option<u32> {
-        lock(&cache[shard3(key.0, key.1, key.2)]).get(&key).copied()
-    }
-
-    fn cache_put3(cache: &Sharded<(u32, u32, u32)>, key: (u32, u32, u32), r: u32) {
-        lock(&cache[shard3(key.0, key.1, key.2)]).insert(key, r);
     }
 
     /// The memoised ITE kernel: `f·g + f̅·h`.
-    pub(crate) fn ite_rec(&self, f: u32, g: u32, h: u32, ctx: &mut OpCtx) -> OpResult {
+    pub(crate) fn ite_rec(&mut self, f: u32, g: u32, h: u32) -> OpResult {
         // Terminal short-circuits.
         if f == ONE {
             return Ok(g);
@@ -467,25 +338,25 @@ impl Core {
         if g == ONE && h == ZERO {
             return Ok(f);
         }
-        ctx.tick(self)?;
+        self.tick()?;
         let key = (f, g, h);
-        if let Some(r) = Self::cache_get3(&self.ite_cache, key) {
+        if let Some(r) = self.ite_cache.get(&key) {
             return Ok(r);
         }
         let level = self.level(f).min(self.level(g)).min(self.level(h));
         let (f0, f1) = self.children_at(f, level);
         let (g0, g1) = self.children_at(g, level);
         let (h0, h1) = self.children_at(h, level);
-        let lo = self.ite_rec(f0, g0, h0, ctx)?;
-        let hi = self.ite_rec(f1, g1, h1, ctx)?;
-        let r = self.mk(level, lo, hi, ctx)?;
-        Self::cache_put3(&self.ite_cache, key, r);
+        let lo = self.ite_rec(f0, g0, h0)?;
+        let hi = self.ite_rec(f1, g1, h1)?;
+        let r = self.mk(level, lo, hi)?;
+        self.ite_cache.insert(key, r);
         Ok(r)
     }
 
     /// Existential quantification `∃ cube. f` (memoised), with the
     /// cube-skipping normalisation above `f`'s support.
-    pub(crate) fn exists_rec(&self, f: u32, mut cube: u32, ctx: &mut OpCtx) -> OpResult {
+    pub(crate) fn exists_rec(&mut self, f: u32, mut cube: u32) -> OpResult {
         if f <= ONE {
             return Ok(f);
         }
@@ -496,266 +367,137 @@ impl Core {
         if cube == ONE {
             return Ok(f);
         }
-        ctx.tick(self)?;
+        self.tick()?;
         let key = (f, cube);
-        if let Some(r) = lock(&self.exists_cache[shard2(f, cube)]).get(&key).copied() {
+        if let Some(r) = self.exists_cache.get(&key) {
             return Ok(r);
         }
         let level = self.level(f);
         let (f0, f1) = self.children_at(f, level);
         let r = if self.level(cube) == level {
             let rest = self.node(cube).2;
-            let lo = self.exists_rec(f0, rest, ctx)?;
+            let lo = self.exists_rec(f0, rest)?;
             if lo == ONE {
                 ONE
             } else {
-                let hi = self.exists_rec(f1, rest, ctx)?;
-                self.ite_rec(lo, ONE, hi, ctx)?
+                let hi = self.exists_rec(f1, rest)?;
+                self.ite_rec(lo, ONE, hi)?
             }
         } else {
-            let lo = self.exists_rec(f0, cube, ctx)?;
-            let hi = self.exists_rec(f1, cube, ctx)?;
-            self.mk(level, lo, hi, ctx)?
+            let lo = self.exists_rec(f0, cube)?;
+            let hi = self.exists_rec(f1, cube)?;
+            self.mk(level, lo, hi)?
         };
-        lock(&self.exists_cache[shard2(f, cube)]).insert(key, r);
+        self.exists_cache.insert(key, r);
         Ok(r)
     }
 
     /// The relational product `∃ cube. f · g` in one pass (memoised).
-    pub(crate) fn and_exists_rec(
-        &self,
-        f: u32,
-        g: u32,
-        mut cube: u32,
-        ctx: &mut OpCtx,
-    ) -> OpResult {
+    pub(crate) fn and_exists_rec(&mut self, f: u32, g: u32, mut cube: u32) -> OpResult {
         if f == ZERO || g == ZERO {
             return Ok(ZERO);
         }
         if f == ONE {
-            return self.exists_rec(g, cube, ctx);
+            return self.exists_rec(g, cube);
         }
         if g == ONE || f == g {
-            return self.exists_rec(f, cube, ctx);
+            return self.exists_rec(f, cube);
         }
         let top = self.level(f).min(self.level(g));
         while cube > ONE && self.level(cube) < top {
             cube = self.node(cube).2;
         }
         if cube == ONE {
-            return self.ite_rec(f, g, ZERO, ctx);
+            return self.ite_rec(f, g, ZERO);
         }
-        ctx.tick(self)?;
+        self.tick()?;
         // Conjunction is commutative: normalise the key.
         let key = if f > g { (g, f, cube) } else { (f, g, cube) };
-        if let Some(r) = Self::cache_get3(&self.and_exists_cache, key) {
+        if let Some(r) = self.and_exists_cache.get(&key) {
             return Ok(r);
         }
         let (f0, f1) = self.children_at(f, top);
         let (g0, g1) = self.children_at(g, top);
         let r = if self.level(cube) == top {
             let rest = self.node(cube).2;
-            let lo = self.and_exists_rec(f0, g0, rest, ctx)?;
+            let lo = self.and_exists_rec(f0, g0, rest)?;
             if lo == ONE {
                 ONE
             } else {
-                let hi = self.and_exists_rec(f1, g1, rest, ctx)?;
-                self.ite_rec(lo, ONE, hi, ctx)?
+                let hi = self.and_exists_rec(f1, g1, rest)?;
+                self.ite_rec(lo, ONE, hi)?
             }
         } else {
-            let lo = self.and_exists_rec(f0, g0, cube, ctx)?;
-            let hi = self.and_exists_rec(f1, g1, cube, ctx)?;
-            self.mk(top, lo, hi, ctx)?
+            let lo = self.and_exists_rec(f0, g0, cube)?;
+            let hi = self.and_exists_rec(f1, g1, cube)?;
+            self.mk(top, lo, hi)?
         };
-        Self::cache_put3(&self.and_exists_cache, key, r);
+        self.and_exists_cache.insert(key, r);
         Ok(r)
     }
 
     // ------------------------------------------------------------------
-    // Quiesced maintenance support (`&mut self`: no kernel is running).
+    // Maintenance support: collection and reordering.
     // ------------------------------------------------------------------
 
     /// Drops every memoised operation result (reordering retires nodes
     /// without mark information, so selective purging is impossible).
     pub(crate) fn clear_caches(&mut self) {
-        for shard in self.ite_cache.iter() {
-            lock(shard).clear();
-        }
-        for shard in self.exists_cache.iter() {
-            lock(shard).clear();
-        }
-        for shard in self.and_exists_cache.iter() {
-            lock(shard).clear();
-        }
+        self.ite_cache.clear();
+        self.exists_cache.clear();
+        self.and_exists_cache.clear();
     }
 
     /// Purges cache entries touching any id for which `dead` holds.
     pub(crate) fn purge_caches(&mut self, dead: impl Fn(u32) -> bool) {
         let alive = |n: u32| !dead(n);
-        for shard in self.ite_cache.iter() {
-            lock(shard).retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(*r));
-        }
-        for shard in self.exists_cache.iter() {
-            lock(shard).retain(|&(f, cube), r| alive(f) && alive(cube) && alive(*r));
-        }
-        for shard in self.and_exists_cache.iter() {
-            lock(shard).retain(|&(f, g, cube), r| alive(f) && alive(g) && alive(cube) && alive(*r));
-        }
+        self.ite_cache
+            .retain(|&(f, g, h), r| alive(f) && alive(g) && alive(h) && alive(r));
+        self.exists_cache
+            .retain(|&(f, cube), r| alive(f) && alive(cube) && alive(r));
+        self.and_exists_cache
+            .retain(|&(f, g, cube), r| alive(f) && alive(g) && alive(cube) && alive(r));
     }
 
-    /// Removes a node's unique-table entry. Panics (via the debug
-    /// assertion) if the table is out of sync.
-    pub(crate) fn unique_remove(&mut self, level: u32, lo: u32, hi: u32, id: u32) {
-        let removed = lock(&self.unique[shard3(level, lo, hi)]).remove(&(level, lo, hi));
+    /// Relabels a slot in place (reordering only).
+    #[inline]
+    pub(crate) fn set_level(&mut self, id: u32, level: u32) {
+        self.nodes[id as usize].level = level;
+    }
+
+    /// Rewrites all fields of a live slot in place (reordering only).
+    #[inline]
+    pub(crate) fn rewrite(&mut self, id: u32, level: u32, lo: u32, hi: u32) {
+        self.nodes[id as usize] = Node { level, lo, hi };
+    }
+
+    /// Unlinks a live node from its level's subtable and pushes its slot
+    /// onto the free list. Panics (via the debug assertion) if the table is
+    /// out of sync.
+    pub(crate) fn free_node(&mut self, id: u32) {
+        let Node { level, lo, hi } = self.nodes[id as usize];
+        let removed = self.unique[level as usize].remove(&(lo, hi));
         debug_assert_eq!(removed, Some(id), "unique table out of sync");
-        let _ = removed;
-        let _ = id;
+        self.nodes[id as usize] = Node {
+            level: FREE,
+            lo: 0,
+            hi: 0,
+        };
+        self.free.push(id);
     }
 
-    /// Registers a node under a (new) unique-table key, returning any
-    /// previous occupant (reordering asserts there is none).
-    pub(crate) fn unique_insert(&mut self, level: u32, lo: u32, hi: u32, id: u32) -> Option<u32> {
-        lock(&self.unique[shard3(level, lo, hi)]).insert((level, lo, hi), id)
-    }
-
-    /// Looks up a unique-table key (reordering's hash-consing path).
-    pub(crate) fn unique_get(&self, level: u32, lo: u32, hi: u32) -> Option<u32> {
-        lock(&self.unique[shard3(level, lo, hi)])
-            .get(&(level, lo, hi))
-            .copied()
-    }
-
-    /// Frees a slot: level becomes [`FREE`], the id joins the free list.
-    pub(crate) fn release_slot(&mut self, id: u32) {
-        self.store.write(id, FREE, 0, 0);
-        lock(&self.free).push(id);
-        self.free_count.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Total entries across the unique-table shards (invariant checking).
-    pub(crate) fn unique_len(&self) -> usize {
-        self.unique.iter().map(|s| lock(s).len()).sum()
+    /// Shrinks every level's subtable to its live nodes. A level's table
+    /// only grows on its own, and the levels do not peak together (a sift
+    /// moves each subtable with its variable), so without this the tables
+    /// together hold room for the sum of the per-level peaks. Measured on
+    /// `benchmarks/wide_arbiter_20.g` (symbolic engine): peak RSS 152 →
+    /// 148 MB at the default budget, 162 → 155 MB at `--budget 400000`.
+    pub(crate) fn shrink_unique(&mut self) {
+        self.unique.iter_mut().for_each(FxMap::shrink_to_fit);
     }
 
     /// Number of free-list entries (invariant checking).
     pub(crate) fn free_len(&self) -> usize {
-        lock(&self.free).len()
-    }
-}
-
-// ----------------------------------------------------------------------
-// Frontier decomposition: the probe used by the parallel apply to expand a
-// root call into independent subproblems, mirroring each kernel's
-// normalisation so worker results land on the keys the serial finish pass
-// will ask for.
-// ----------------------------------------------------------------------
-
-/// One independent kernel invocation, in normalised form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum Task {
-    /// `ite(f, g, h)`.
-    Ite(u32, u32, u32),
-    /// `∃ cube. f`.
-    Exists(u32, u32),
-    /// `∃ cube. f · g`.
-    AndExists(u32, u32, u32),
-}
-
-/// Result of probing a task without allocating: either it resolves
-/// immediately (terminal rule or cache hit), or it forks into the two
-/// cofactor subtasks the kernel would recurse on.
-pub(crate) enum Probe {
-    /// Resolved without recursion; no work to distribute.
-    Done,
-    /// The two subtasks of the cofactor recursion (already normalised).
-    Fork([Task; 2]),
-}
-
-impl Core {
-    /// Runs a task to completion with the serial kernel.
-    pub(crate) fn run_task(&self, task: Task, ctx: &mut OpCtx) -> OpResult {
-        match task {
-            Task::Ite(f, g, h) => self.ite_rec(f, g, h, ctx),
-            Task::Exists(f, cube) => self.exists_rec(f, cube, ctx),
-            Task::AndExists(f, g, cube) => self.and_exists_rec(f, g, cube, ctx),
-        }
-    }
-
-    /// Probes one task, mirroring the kernel's own normalisation (terminal
-    /// short-circuits, cube skipping, commutative key swap, cache lookup)
-    /// so the forked subtasks are exactly the recursive calls the serial
-    /// kernel will make — their results are guaranteed cache hits for the
-    /// finish pass.
-    pub(crate) fn probe(&self, task: Task) -> Probe {
-        match task {
-            Task::Ite(f, g, h) => {
-                if f <= ONE || g == h || (g == ONE && h == ZERO) {
-                    return Probe::Done;
-                }
-                if Self::cache_get3(&self.ite_cache, (f, g, h)).is_some() {
-                    return Probe::Done;
-                }
-                let level = self.level(f).min(self.level(g)).min(self.level(h));
-                let (f0, f1) = self.children_at(f, level);
-                let (g0, g1) = self.children_at(g, level);
-                let (h0, h1) = self.children_at(h, level);
-                Probe::Fork([Task::Ite(f0, g0, h0), Task::Ite(f1, g1, h1)])
-            }
-            Task::Exists(f, mut cube) => {
-                if f <= ONE {
-                    return Probe::Done;
-                }
-                while cube > ONE && self.level(cube) < self.level(f) {
-                    cube = self.node(cube).2;
-                }
-                if cube == ONE {
-                    return Probe::Done;
-                }
-                if lock(&self.exists_cache[shard2(f, cube)])
-                    .get(&(f, cube))
-                    .is_some()
-                {
-                    return Probe::Done;
-                }
-                let level = self.level(f);
-                let (f0, f1) = self.children_at(f, level);
-                if self.level(cube) == level {
-                    let rest = self.node(cube).2;
-                    Probe::Fork([Task::Exists(f0, rest), Task::Exists(f1, rest)])
-                } else {
-                    Probe::Fork([Task::Exists(f0, cube), Task::Exists(f1, cube)])
-                }
-            }
-            Task::AndExists(f, g, mut cube) => {
-                if f == ZERO || g == ZERO {
-                    return Probe::Done;
-                }
-                if f == ONE {
-                    return self.probe(Task::Exists(g, cube));
-                }
-                if g == ONE || f == g {
-                    return self.probe(Task::Exists(f, cube));
-                }
-                let top = self.level(f).min(self.level(g));
-                while cube > ONE && self.level(cube) < top {
-                    cube = self.node(cube).2;
-                }
-                if cube == ONE {
-                    return self.probe(Task::Ite(f, g, ZERO));
-                }
-                let key = if f > g { (g, f, cube) } else { (f, g, cube) };
-                if Self::cache_get3(&self.and_exists_cache, key).is_some() {
-                    return Probe::Done;
-                }
-                let (f0, f1) = self.children_at(f, top);
-                let (g0, g1) = self.children_at(g, top);
-                if self.level(cube) == top {
-                    let rest = self.node(cube).2;
-                    Probe::Fork([Task::AndExists(f0, g0, rest), Task::AndExists(f1, g1, rest)])
-                } else {
-                    Probe::Fork([Task::AndExists(f0, g0, cube), Task::AndExists(f1, g1, cube)])
-                }
-            }
-        }
+        self.free.len()
     }
 }

@@ -20,7 +20,7 @@
 //! one.
 //!
 //! Extraction runs under `&mut self` with the interruption trip disarmed: no
-//! GC, reorder or concurrent kernel can run mid-extraction, so intermediate
+//! GC or reorder can run mid-extraction, so intermediate
 //! `B` roots need no protection — they stay valid until the caller's next
 //! maintenance point, which is exactly when the memo entries naming them are
 //! purged.
@@ -31,7 +31,7 @@ use si_cubes::implicit::{ImplicitCover, ImplicitPool};
 use si_cubes::{Cover, Cube, Literal};
 
 use crate::convert::ConvertError;
-use crate::core::{FxMap, OpCtx, ONE, ZERO};
+use crate::core::{FxMap, ONE, ZERO};
 use crate::manager::{Bdd, BddManager};
 
 /// Cover-DAG sentinel: the empty cover.
@@ -135,8 +135,7 @@ impl BddManager {
         // on cannot unwind; re-disarming is idempotent (public ops already
         // leave the trip disarmed on exit).
         self.core.arm_trip(usize::MAX);
-        let mut ctx = OpCtx::default();
-        let (cover, b) = self.isop_rec(f.0, f.0, &mut ctx);
+        let (cover, b) = self.isop_rec(f.0, f.0);
         debug_assert_eq!(b, f.0, "isop(f, f) must cover exactly f");
         let _ = b;
         cover
@@ -145,8 +144,8 @@ impl BddManager {
     /// `ite` against the core kernel (no public-op accounting: extraction
     /// is a read-out, not a driver decision, and the CI-pinned op counts
     /// must not depend on the extraction front end).
-    fn isop_ite(&mut self, f: u32, g: u32, h: u32, ctx: &mut OpCtx) -> u32 {
-        match self.core.ite_rec(f, g, h, ctx) {
+    fn isop_ite(&mut self, f: u32, g: u32, h: u32) -> u32 {
+        match self.core.ite_rec(f, g, h) {
             Ok(r) => r,
             Err(_) => unreachable!("interruption is disarmed during ISOP extraction"),
         }
@@ -154,7 +153,7 @@ impl BddManager {
 
     /// The Minato–Morreale recursion on bounds `L ⊆ U` (BDD node ids).
     /// Returns `(cover ref, B)` with `L ⊆ B ⊆ U` and the cover irredundant.
-    fn isop_rec(&mut self, l: u32, u: u32, ctx: &mut OpCtx) -> (u32, u32) {
+    fn isop_rec(&mut self, l: u32, u: u32) -> (u32, u32) {
         if l == ZERO {
             return (EMPTY_C, ZERO);
         }
@@ -170,17 +169,17 @@ impl BddManager {
         let (u0, u1) = self.core.children_at(u, level);
         // Points only reachable with an x̅ (resp. x) literal: cofactor
         // points of L that U's opposite branch cannot absorb.
-        let l0_only = self.isop_ite(u1, ZERO, l0, ctx);
-        let (c0, b0) = self.isop_rec(l0_only, u0, ctx);
-        let l1_only = self.isop_ite(u0, ZERO, l1, ctx);
-        let (c1, b1) = self.isop_rec(l1_only, u1, ctx);
+        let l0_only = self.isop_ite(u1, ZERO, l0);
+        let (c0, b0) = self.isop_rec(l0_only, u0);
+        let l1_only = self.isop_ite(u0, ZERO, l1);
+        let (c1, b1) = self.isop_rec(l1_only, u1);
         // Whatever the literal cubes left uncovered must come from cubes
         // without an x literal, admissible under both upper cofactors.
-        let l0_rest = self.isop_ite(b0, ZERO, l0, ctx);
-        let l1_rest = self.isop_ite(b1, ZERO, l1, ctx);
-        let l_rest = self.isop_ite(l0_rest, ONE, l1_rest, ctx);
-        let u_both = self.isop_ite(u0, u1, ZERO, ctx);
-        let (cd, bd) = self.isop_rec(l_rest, u_both, ctx);
+        let l0_rest = self.isop_ite(b0, ZERO, l0);
+        let l1_rest = self.isop_ite(b1, ZERO, l1);
+        let l_rest = self.isop_ite(l0_rest, ONE, l1_rest);
+        let u_both = self.isop_ite(u0, u1, ZERO);
+        let (cd, bd) = self.isop_rec(l_rest, u_both);
         let cover = if c0 == EMPTY_C && c1 == EMPTY_C {
             cd
         } else {
@@ -193,10 +192,10 @@ impl BddManager {
             });
             r
         };
-        let b0d = self.isop_ite(b0, ONE, bd, ctx);
-        let b1d = self.isop_ite(b1, ONE, bd, ctx);
+        let b0d = self.isop_ite(b0, ONE, bd);
+        let b1d = self.isop_ite(b1, ONE, bd);
         let xv = self.core.mk_unchecked(level, ZERO, ONE);
-        let b = self.isop_ite(xv, b1d, b0d, ctx);
+        let b = self.isop_ite(xv, b1d, b0d);
         self.isop.memo.insert((l, u), (cover, b));
         (cover, b)
     }

@@ -24,16 +24,14 @@
 //! handles from the same manager are equal iff the functions are equal, so
 //! equality, emptiness and fixpoint-convergence tests are O(1).
 //!
-//! The node substrate is concurrent (safe Rust only): the unique table and
-//! operation caches are sharded behind fine-grained locks, and
-//! [`set_threads`](BddManager::set_threads) turns the `ite`/`exists`/
-//! `and_exists` kernels into work-stealing parallel operations over the
-//! shared tables. Long-running operations can also run *reentrant*
-//! maintenance ([`set_maintenance`](BddManager::set_maintenance)): kernels
-//! poll a live-node checkpoint and unwind for a GC/reorder pass mid-call
-//! instead of only between driver iterations. Node ids become
-//! schedule-dependent under threads, but canonicity within a run — and
-//! every extracted artifact — does not.
+//! Each manager owns its tables outright and runs every kernel serially on
+//! the caller's thread: nodes in one growable store with a free list, a
+//! unique subtable per level, and memoised operation caches (safe Rust
+//! only). Long-running operations can run *reentrant* maintenance
+//! ([`set_maintenance`](BddManager::set_maintenance)): kernels poll a
+//! live-node checkpoint and unwind for a GC/reorder pass mid-call instead
+//! of only between driver iterations, then retry. Node ids, pool peaks and
+//! maintenance counts repeat exactly for a given sequence of calls.
 //!
 //! ## Example
 //!
@@ -67,7 +65,6 @@ mod core;
 mod isop;
 mod manager;
 mod order;
-mod par;
 mod sift;
 
 pub use convert::{ConvertError, TranslationCache};

@@ -2,16 +2,15 @@
 //! root protection, mark-and-sweep garbage collection, and the retry loop
 //! that gives long-running operations reentrant GC/reorder checkpoints.
 //!
-//! The tables themselves live in [`crate::core`] (sharded, lock-guarded,
-//! shared by the parallel workers); this module owns the external surface:
-//! variable order, root protection, operation dispatch (serial or
-//! work-stealing parallel), and the maintenance policy that fires when a
-//! kernel trips its live-node checkpoint mid-operation.
+//! The tables and kernels live in [`crate::core`], owned by the manager
+//! alone; this module owns the external surface: variable order, root
+//! protection, the public operations, and the maintenance policy that fires
+//! when a kernel trips its live-node checkpoint mid-operation.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use crate::core::{Core, OpCtx, Task, FREE, ONE, ZERO};
+use crate::core::{Core, OpResult, FREE, ONE, ZERO};
 use crate::isop::IsopTables;
 use crate::sift::ReorderPolicy;
 
@@ -59,10 +58,10 @@ pub struct ReentrantConfig {
 
 /// Deterministic per-manager operation counters: incremented once per
 /// public [`ite`](BddManager::ite) / [`exists`](BddManager::exists) /
-/// [`and_exists`](BddManager::and_exists) call. Because every driver
-/// decision is made on canonical sets, the public call sequence — and hence
-/// these counts — is identical at any thread count, which makes them the
-/// perf proxy CI can pin on a 1-CPU runner.
+/// [`and_exists`](BddManager::and_exists) call. Every driver decision is
+/// made on canonical sets, so the public call sequence — and hence these
+/// counts — is the same on any machine and under any GC/reorder schedule:
+/// the machine-independent perf proxy CI pins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Public ITE calls (including the `and`/`or`/`not`/`xor`/`diff`
@@ -77,8 +76,9 @@ pub struct OpCounts {
 /// Pool-maintenance totals of one manager: every [`gc`](BddManager::gc) and
 /// [`reorder_sift`](BddManager::reorder_sift) is counted and timed here,
 /// whether a driver called it between operations or the reentrant
-/// maintenance pass ran it inside one. The times are wall clock and the run
-/// counts depend on the GC/reorder schedule: do not pin them.
+/// maintenance pass ran it inside one. The times are wall clock; the counts
+/// repeat exactly for a given sequence of operations and maintenance
+/// policy, since the kernels are serial and allocation order is fixed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// Garbage collections run. A sift's own opening collection is part of
@@ -99,7 +99,7 @@ pub struct MaintenanceStats {
 }
 
 /// A reduced ordered BDD node pool over a fixed variable count, with a
-/// sharded unique table (hash-consing), memoised operation caches, an
+/// per-level unique table (hash-consing), memoised operation caches, an
 /// external-root protection set and a mark-and-sweep collector.
 ///
 /// Nodes branch on *levels*; the variable order maps external variable
@@ -114,13 +114,9 @@ pub struct MaintenanceStats {
 /// everything unreachable from the roots is swept onto a free list and the
 /// slots are reused by later allocations.
 ///
-/// With [`set_threads`](Self::set_threads) above 1, `ite`/`exists`/
-/// `and_exists` on large pools fan their cofactor frontier out to a
-/// work-stealing thread pool over the shared sharded tables. Node *ids*
-/// become schedule-dependent, but canonicity within a run is preserved
-/// (hash-consing is maintained under the shard locks), so handle equality,
-/// extracted covers, witnesses and counts are identical at any thread
-/// count.
+/// Every operation runs serially on the caller's thread. Node ids, pool
+/// sizes and maintenance counts therefore repeat exactly for a given
+/// sequence of calls.
 pub struct BddManager {
     pub(crate) core: Core,
     /// `level_of[var]` = position of `var` in the order (0 = topmost).
@@ -132,11 +128,9 @@ pub struct BddManager {
     /// ISOP extraction state: cover-DAG arena + `(L, U)` memo (see
     /// [`crate::isop`]); purged on GC, cleared on reorder.
     pub(crate) isop: IsopTables,
-    threads: usize,
     maint: Option<ReentrantConfig>,
     op_counts: OpCounts,
     pub(crate) maint_stats: MaintenanceStats,
-    parallel_floor: usize,
 }
 
 impl std::fmt::Debug for BddManager {
@@ -146,17 +140,12 @@ impl std::fmt::Debug for BddManager {
             .field("pool_size", &self.pool_size())
             .field("allocated_size", &self.allocated_size())
             .field("protected", &self.roots.len())
-            .field("threads", &self.threads)
             .field("order", &self.order())
             .finish()
     }
 }
 
 impl BddManager {
-    /// Live-pool size below which parallel dispatch is skipped: thread
-    /// fan-out on a small diagram costs more than it saves.
-    pub const DEFAULT_PARALLEL_FLOOR: usize = 1 << 15;
-
     /// Creates a manager over `num_vars` variables in natural order
     /// (variable `i` at level `i`).
     pub fn new(num_vars: usize) -> Self {
@@ -188,11 +177,9 @@ impl BddManager {
             var_at,
             roots: HashMap::new(),
             isop: IsopTables::default(),
-            threads: 1,
             maint: None,
             op_counts: OpCounts::default(),
             maint_stats: MaintenanceStats::default(),
-            parallel_floor: Self::DEFAULT_PARALLEL_FLOOR,
         }
     }
 
@@ -251,19 +238,6 @@ impl BddManager {
         self.core.allocated_size()
     }
 
-    /// Sets the worker count for parallel `ite`/`exists`/`and_exists`
-    /// dispatch (clamped to at least 1; 1 = fully serial). The choice
-    /// affects wall-clock and node *ids* only — never which functions any
-    /// computation produces.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Installs (or removes, with `None`) the reentrant mid-operation
     /// maintenance policy. See [`ReentrantConfig`].
     pub fn set_maintenance(&mut self, cfg: Option<ReentrantConfig>) {
@@ -276,7 +250,7 @@ impl BddManager {
     }
 
     /// Collection and reordering totals so far, mid-operation passes
-    /// included (see [`MaintenanceStats`]). Schedule-dependent: do not pin.
+    /// included (see [`MaintenanceStats`]).
     pub fn maintenance_stats(&self) -> MaintenanceStats {
         self.maint_stats
     }
@@ -288,21 +262,16 @@ impl BddManager {
 
     /// The largest live-pool size observed at any kernel checkpoint or
     /// operation boundary — visible even when the peak occurred in the
-    /// middle of one operation. Schedule-dependent: do not pin.
+    /// middle of one operation. The pool is sampled every 1024 kernel
+    /// steps of an operation attempt, so the figure repeats exactly for a
+    /// given sequence of calls.
     pub fn peak_pool(&self) -> usize {
         self.core.peak_pool()
     }
 
-    /// Overrides the pool size below which parallel dispatch is skipped
-    /// ([`DEFAULT_PARALLEL_FLOOR`](Self::DEFAULT_PARALLEL_FLOOR)); tests
-    /// use 0 to force the parallel path on small pools.
-    pub fn set_parallel_floor(&mut self, floor: usize) {
-        self.parallel_floor = floor;
-    }
-
     /// Returns `true` if `f` is a terminal or a live (not collected) node.
     pub fn is_live(&self, f: Bdd) -> bool {
-        f.0 <= ONE || self.core.store.level(f.0) != FREE
+        f.0 <= ONE || self.core.raw(f.0).0 != FREE
     }
 
     /// Checked node accessor: `(level, lo, hi)`. Every walk goes through
@@ -373,7 +342,7 @@ impl BddManager {
     /// The sweep behind [`gc`](Self::gc), uncounted: reordering runs it as
     /// part of its own pass.
     pub(crate) fn collect(&mut self) -> usize {
-        let len = self.core.store.len();
+        let len = self.core.slot_count();
         let mut marked = vec![false; len];
         let mut stack: Vec<u32> = self.roots.keys().copied().collect();
         while let Some(n) = stack.pop() {
@@ -391,15 +360,14 @@ impl BddManager {
         self.core.purge_caches(|n| n > ONE && !marked[n as usize]);
         self.isop.purge(|n| n > ONE && !marked[n as usize]);
         let mut collected = 0usize;
-        for (id, live) in marked.iter().enumerate().take(len).skip(2) {
-            let (level, lo, hi) = self.core.store.raw(id as u32);
-            if level == FREE || *live {
+        for (id, live) in marked.iter().enumerate().skip(2) {
+            if *live || self.core.raw(id as u32).0 == FREE {
                 continue;
             }
-            self.core.unique_remove(level, lo, hi, id as u32);
-            self.core.release_slot(id as u32);
+            self.core.free_node(id as u32);
             collected += 1;
         }
+        self.core.shrink_unique();
         collected
     }
 
@@ -429,7 +397,8 @@ impl BddManager {
     /// binary operation reduces to (memoised).
     pub fn ite(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Bdd {
         self.op_counts.ite += 1;
-        Bdd(self.run_op(Task::Ite(f.0, g.0, h.0)))
+        let (f, g, h) = (f.0, g.0, h.0);
+        Bdd(self.run_op([f, g, h], |core| core.ite_rec(f, g, h)))
     }
 
     /// Conjunction `f · g`.
@@ -507,7 +476,8 @@ impl BddManager {
     /// cube from [`cube_vars`](Self::cube_vars) (memoised).
     pub fn exists(&mut self, f: Bdd, vars: Bdd) -> Bdd {
         self.op_counts.exists += 1;
-        Bdd(self.run_op(Task::Exists(f.0, vars.0)))
+        let (f, cube) = (f.0, vars.0);
+        Bdd(self.run_op([f, cube, ZERO], |core| core.exists_rec(f, cube)))
     }
 
     /// The relational product `∃ vars. f · g` computed in one pass, without
@@ -515,15 +485,16 @@ impl BddManager {
     /// image computation.
     pub fn and_exists(&mut self, f: Bdd, g: Bdd, vars: Bdd) -> Bdd {
         self.op_counts.and_exists += 1;
-        Bdd(self.run_op(Task::AndExists(f.0, g.0, vars.0)))
+        let (f, g, cube) = (f.0, g.0, vars.0);
+        Bdd(self.run_op([f, g, cube], |core| core.and_exists_rec(f, g, cube)))
     }
 
-    /// Runs one public operation to completion: dispatch serial or
-    /// parallel, and when a kernel trips its live-node checkpoint, unwind,
-    /// run the reentrant maintenance pass, raise the effective limit enough
-    /// to guarantee progress, and retry against the (gc'd, possibly
-    /// reordered, cache-warmed) pool.
-    fn run_op(&mut self, task: Task) -> u32 {
+    /// Runs one public operation's kernel to completion: when it trips its
+    /// live-node checkpoint, unwind, run the reentrant maintenance pass over
+    /// the operation's `operands`, raise the effective limit enough to
+    /// guarantee progress, and retry against the (gc'd, possibly reordered,
+    /// cache-warmed) pool.
+    fn run_op(&mut self, operands: [u32; 3], kernel: impl Fn(&mut Core) -> OpResult) -> u32 {
         let base_limit = match &self.maint {
             Some(cfg) => cfg.live_limit,
             None => usize::MAX,
@@ -531,16 +502,12 @@ impl BddManager {
         let mut effective = base_limit;
         loop {
             self.core.arm_trip(effective);
-            let result = if self.threads > 1 && self.core.pool_size() >= self.parallel_floor {
-                crate::par::run(&self.core, self.threads, task)
-            } else {
-                self.core.run_task(task, &mut OpCtx::default())
-            };
+            let result = kernel(&mut self.core);
             self.core.arm_trip(usize::MAX);
             match result {
                 Ok(r) => return r,
                 Err(_) => {
-                    self.maintain_mid_op(task);
+                    self.maintain_mid_op(operands);
                     // Maintenance may not reach base_limit (the operands
                     // genuinely need more); give the retry headroom to
                     // double the surviving pool so it always progresses.
@@ -555,9 +522,9 @@ impl BddManager {
     /// The mid-operation maintenance pass: protect the interrupted
     /// operation's operands (nothing else pins them mid-call), collect, and
     /// — if the policy allows and the pool is still over the limit — sift.
-    fn maintain_mid_op(&mut self, task: Task) {
+    /// Terminal operands are harmless: `protect` ignores them.
+    fn maintain_mid_op(&mut self, operands: [u32; 3]) {
         let Some(cfg) = self.maint else { return };
-        let operands = task_operands(task);
         for &id in &operands {
             self.protect(Bdd(id));
         }
@@ -668,10 +635,10 @@ impl BddManager {
     /// protected root is live. Intended for tests and debugging — cost is a
     /// full pool scan.
     pub fn assert_invariants(&self) {
-        let len = self.core.store.len();
+        let len = self.core.slot_count();
         let mut live = 0usize;
         for i in 2..len {
-            let (level, lo, hi) = self.core.store.raw(i as u32);
+            let (level, lo, hi) = self.core.raw(i as u32);
             if level == FREE {
                 continue;
             }
@@ -683,7 +650,7 @@ impl BddManager {
             assert!(lo != hi, "node {i}: redundant (lo == hi == {lo})");
             for c in [lo, hi] {
                 assert!(
-                    c <= ONE || self.core.store.level(c) != FREE,
+                    c <= ONE || self.core.raw(c).0 != FREE,
                     "node {i}: references freed child {c}"
                 );
                 assert!(
@@ -692,13 +659,13 @@ impl BddManager {
                 );
             }
             assert_eq!(
-                self.core.unique_get(level, lo, hi),
-                Some(i as u32),
+                self.core.unique[level as usize].get(&(lo, hi)),
+                Some(&(i as u32)),
                 "node {i}: unique table misses it or maps its key elsewhere"
             );
         }
         assert_eq!(
-            self.core.unique_len(),
+            self.core.unique.iter().map(|t| t.len()).sum::<usize>(),
             live,
             "unique table holds entries for dead nodes"
         );
@@ -715,20 +682,10 @@ impl BddManager {
         }
         for &id in self.roots.keys() {
             assert!(
-                id <= ONE || self.core.store.level(id) != FREE,
+                id <= ONE || self.core.raw(id).0 != FREE,
                 "protected root {id} was collected"
             );
         }
-    }
-}
-
-/// The operand ids a task holds across a maintenance pass (terminals are
-/// harmless to protect: `protect` ignores them).
-fn task_operands(task: Task) -> [u32; 3] {
-    match task {
-        Task::Ite(f, g, h) => [f, g, h],
-        Task::Exists(f, cube) => [f, cube, ZERO],
-        Task::AndExists(f, g, cube) => [f, g, cube],
     }
 }
 
@@ -1043,44 +1000,6 @@ mod tests {
         assert_eq!(counts.ite, 3);
         assert_eq!(counts.exists, 1);
         assert_eq!(counts.and_exists, 1);
-    }
-
-    #[test]
-    fn parallel_dispatch_matches_serial_results() {
-        // Force the parallel path on a small pool and check handle-level
-        // equality against the serial manager: canonicity makes results
-        // comparable through evaluation and sat counts.
-        let build = |mgr: &mut BddManager| {
-            let mut f = mgr.zero();
-            for i in 0..4 {
-                let a = mgr.var(i);
-                let b = mgr.var(i + 4);
-                let t = mgr.xor(a, b);
-                f = mgr.or(f, t);
-            }
-            f
-        };
-        let mut serial = BddManager::new(8);
-        let fs = build(&mut serial);
-        for threads in [2, 4] {
-            let mut par = BddManager::new(8);
-            par.set_threads(threads);
-            par.set_parallel_floor(0);
-            let fp = build(&mut par);
-            assert_eq!(serial.sat_count(fs), par.sat_count(fp), "{threads} threads");
-            let q_serial = serial.cube_vars(&[0, 4]);
-            let q_par = par.cube_vars(&[0, 4]);
-            let es = serial.exists(fs, q_serial);
-            let ep = par.exists(fp, q_par);
-            assert_eq!(serial.sat_count(es), par.sat_count(ep));
-            let gs = serial.and_exists(fs, es, q_serial);
-            let gp = par.and_exists(fp, ep, q_par);
-            assert_eq!(serial.sat_count(gs), par.sat_count(gp));
-            for bits in assignments(8) {
-                assert_eq!(serial.eval(fs, &bits), par.eval(fp, &bits), "{bits:?}");
-            }
-            par.assert_invariants();
-        }
     }
 
     #[test]

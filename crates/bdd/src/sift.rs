@@ -20,12 +20,9 @@
 //! operation caches: swaps retire nodes without mark information, so
 //! entries cannot be purged selectively the way `gc` alone does.
 //!
-//! The sharded unique table is keyed globally by `(level, lo, hi)`, so the
-//! per-level enumeration a swap needs comes from *level lists* — id lists
-//! per level built by one pool scan at reorder entry and maintained for the
-//! two levels each swap rewrites. Cascading unlinks leave stale ids in
-//! deeper levels' lists; consumers filter them lazily by checking that a
-//! listed node still lives at that level.
+//! The unique table has one subtable per level, keyed by the children
+//! alone, so a swap reads each level's nodes straight from its subtable,
+//! and the nodes that move up keep their subtable whole.
 
 use std::time::Instant;
 
@@ -149,8 +146,7 @@ impl BddManager {
         self.core.clear_caches();
         self.isop.clear();
         let mut refs = self.compute_refs();
-        let mut lists = self.level_lists();
-        self.swap_adjacent(level, &mut refs, &mut lists);
+        self.swap_adjacent(level, &mut refs);
     }
 
     /// Rudell sifting: every variable (most-populated levels first) is
@@ -191,14 +187,13 @@ impl BddManager {
             return (before, before);
         }
         let mut refs = self.compute_refs();
-        let mut lists = self.level_lists();
-        let occupancy: Vec<usize> = lists.iter().map(Vec::len).collect();
+        let occupancy: Vec<usize> = self.core.unique.iter().map(|t| t.len()).collect();
         // Densest levels first — the CUDD heuristic — with the occupancy
         // snapshot taken once (sifting itself redistributes the levels).
         let mut vars: Vec<usize> = (0..self.num_vars()).collect();
         vars.sort_by_key(|&v| (std::cmp::Reverse(occupancy[self.level_of[v] as usize]), v));
         for &v in &vars {
-            self.sift_one(v, max_growth, &mut refs, &mut lists);
+            self.sift_one(v, max_growth, &mut refs);
         }
         (before, self.pool_size())
     }
@@ -207,36 +202,29 @@ impl BddManager {
     /// then settle on the best level seen. Pool size is a function of the
     /// order alone (dead nodes are unlinked as swaps create them), so
     /// revisited positions report consistent sizes.
-    fn sift_one(
-        &mut self,
-        var: usize,
-        max_growth: f64,
-        refs: &mut Vec<u32>,
-        lists: &mut [Vec<u32>],
-    ) {
+    fn sift_one(&mut self, var: usize, max_growth: f64, refs: &mut Vec<u32>) {
         let start = self.level_of[var] as usize;
         let start_size = self.pool_size();
         let limit = (start_size as f64 * max_growth) as usize;
         let mut best = (start_size, start);
         let mut level = start;
         let down_first = self.num_vars() - 1 - start <= start;
-        self.sift_walk(&mut level, down_first, limit, &mut best, refs, lists);
-        self.sift_walk(&mut level, !down_first, limit, &mut best, refs, lists);
+        self.sift_walk(&mut level, down_first, limit, &mut best, refs);
+        self.sift_walk(&mut level, !down_first, limit, &mut best, refs);
         // Settle on the best position (ties break towards the position
         // visited first, which includes the starting level).
         while level < best.1 {
-            self.swap_adjacent(level, refs, lists);
+            self.swap_adjacent(level, refs);
             level += 1;
         }
         while level > best.1 {
-            self.swap_adjacent(level - 1, refs, lists);
+            self.swap_adjacent(level - 1, refs);
             level -= 1;
         }
     }
 
     /// One directional walk of [`sift_one`], recording the live size at
     /// every visited level and aborting once it exceeds `limit`.
-    #[allow(clippy::too_many_arguments)]
     fn sift_walk(
         &mut self,
         level: &mut usize,
@@ -244,20 +232,19 @@ impl BddManager {
         limit: usize,
         best: &mut (usize, usize),
         refs: &mut Vec<u32>,
-        lists: &mut [Vec<u32>],
     ) {
         loop {
             if down {
                 if *level + 1 >= self.num_vars() {
                     return;
                 }
-                self.swap_adjacent(*level, refs, lists);
+                self.swap_adjacent(*level, refs);
                 *level += 1;
             } else {
                 if *level == 0 {
                     return;
                 }
-                self.swap_adjacent(*level - 1, refs, lists);
+                self.swap_adjacent(*level - 1, refs);
                 *level -= 1;
             }
             let s = self.pool_size();
@@ -274,10 +261,10 @@ impl BddManager {
     /// protected-root pins). Call right after [`gc`](Self::gc): dead nodes
     /// would contribute phantom references.
     fn compute_refs(&self) -> Vec<u32> {
-        let len = self.core.store.len();
+        let len = self.core.slot_count();
         let mut refs = vec![0u32; len];
         for id in 2..len {
-            let (level, lo, hi) = self.core.store.raw(id as u32);
+            let (level, lo, hi) = self.core.raw(id as u32);
             if level != FREE {
                 refs[lo as usize] += 1;
                 refs[hi as usize] += 1;
@@ -289,116 +276,70 @@ impl BddManager {
         refs
     }
 
-    /// Per-level id lists from one pool scan — the per-level enumeration the
-    /// sharded global unique table no longer provides directly. Maintained
-    /// exactly for the two levels each swap rewrites; stale ids left at
-    /// deeper levels by cascading unlinks are filtered on read.
-    fn level_lists(&self) -> Vec<Vec<u32>> {
-        let mut lists = vec![Vec::new(); self.num_vars()];
-        for id in 2..self.core.store.len() {
-            let level = self.core.store.level(id as u32);
-            if level != FREE {
-                lists[level as usize].push(id as u32);
-            }
-        }
-        lists
-    }
-
     /// The in-place unique-table exchange of levels `l` and `l + 1`.
     ///
     /// Invariant: every node id denotes the same function before and after.
     /// Nodes at the lower level keep their structure (their variable moves
-    /// up with them); nodes at the upper level that depend on the lower
-    /// variable are rewritten in place with fresh children one level down;
-    /// upper nodes independent of it slide down unchanged. Lower nodes left
-    /// unreferenced are unlinked immediately (cascading into their
-    /// children), keeping `refs` and the live count exact throughout.
-    fn swap_adjacent(&mut self, l: usize, refs: &mut Vec<u32>, lists: &mut [Vec<u32>]) {
+    /// up with them, subtable and all); nodes at the upper level that
+    /// depend on the lower variable are rewritten in place with fresh
+    /// children one level down; upper nodes independent of it slide down
+    /// unchanged. Lower nodes left unreferenced are unlinked immediately
+    /// (cascading into their children), keeping `refs` and the live count
+    /// exact throughout.
+    fn swap_adjacent(&mut self, l: usize, refs: &mut Vec<u32>) {
         let lu = l as u32;
         let ll = (l + 1) as u32;
-        // Filter the level lists down to the ids actually living at each
-        // level (stale entries from earlier cascaded unlinks drop out), and
-        // sort: list order must not leak into allocation order.
-        let mut upper: Vec<u32> = lists[l]
-            .iter()
-            .copied()
-            .filter(|&n| self.core.store.level(n) == lu)
-            .collect();
-        let mut lower: Vec<u32> = lists[l + 1]
-            .iter()
-            .copied()
-            .filter(|&n| self.core.store.level(n) == ll)
-            .collect();
+        // Both levels leave the table wholesale before rewriting, and their
+        // ids are sorted: hash order must not leak into allocation order.
+        let mut upper_table = std::mem::take(&mut self.core.unique[l]);
+        let lower_table = std::mem::take(&mut self.core.unique[l + 1]);
+        let mut upper: Vec<u32> = upper_table.values().copied().collect();
+        let mut lower: Vec<u32> = lower_table.values().copied().collect();
         upper.sort_unstable();
         lower.sort_unstable();
-        // Unregister both levels wholesale before rewriting: a lower node's
-        // relabelled key could transiently collide with an upper node's
-        // still-registered one.
-        for &m in &lower {
-            let (_, lo, hi) = self.core.node(m);
-            self.core.unique_remove(ll, lo, hi, m);
-        }
-        for &n in &upper {
-            let (_, f0, f1) = self.core.node(n);
-            self.core.unique_remove(lu, f0, f1, n);
-        }
 
-        // 1. Lower nodes keep their children; their variable moves up.
+        // 1. Lower nodes keep their children; their variable moves up, and
+        //    their subtable (keyed by the children alone) with it.
         for &m in &lower {
-            let (_, lo, hi) = self.core.node(m);
-            self.core.store.set_level(m, lu);
-            let prev = self.core.unique_insert(lu, lo, hi, m);
-            debug_assert!(prev.is_none(), "duplicate key while relabelling up");
+            self.core.set_level(m, lu);
         }
+        self.core.unique[l] = lower_table;
+        upper_table.clear();
+        self.core.unique[l + 1] = upper_table;
 
         // 2. Upper nodes independent of the lower variable slide down
         //    unchanged. They must be registered before step 3 so dependent
         //    rewrites hash-cons against them.
         let mut dependent: Vec<u32> = Vec::new();
-        let mut slid: Vec<u32> = Vec::new();
         for &n in &upper {
             let (_, f0, f1) = self.core.node(n);
             // Children sat strictly below level l; those now at `lu` are
             // exactly the relabelled lower nodes.
-            let f0_branches = f0 > ONE && self.core.store.level(f0) == lu;
-            let f1_branches = f1 > ONE && self.core.store.level(f1) == lu;
-            if f0_branches || f1_branches {
+            if self.core.level(f0) == lu || self.core.level(f1) == lu {
                 dependent.push(n);
             } else {
-                self.core.store.set_level(n, ll);
-                let prev = self.core.unique_insert(ll, f0, f1, n);
+                self.core.set_level(n, ll);
+                let prev = self.core.unique[l + 1].insert((f0, f1), n);
                 debug_assert!(prev.is_none(), "duplicate key while sliding down");
-                slid.push(n);
             }
         }
 
         // 3. Dependent upper nodes are rewritten in place:
         //    u ? (v ? f11 : f10) : (v ? f01 : f00)
         //      == v ? (u ? f11 : f01) : (u ? f10 : f00).
-        let mut created: Vec<u32> = Vec::new();
         for &n in &dependent {
             let (_, f0, f1) = self.core.node(n);
-            let (f00, f01) = if f0 > ONE && self.core.store.level(f0) == lu {
-                let (_, a, b) = self.core.node(f0);
-                (a, b)
-            } else {
-                (f0, f0)
-            };
-            let (f10, f11) = if f1 > ONE && self.core.store.level(f1) == lu {
-                let (_, a, b) = self.core.node(f1);
-                (a, b)
-            } else {
-                (f1, f1)
-            };
+            let (f00, f01) = self.core.children_at(f0, lu);
+            let (f10, f11) = self.core.children_at(f1, lu);
             refs[f0 as usize] -= 1;
             refs[f1 as usize] -= 1;
-            let lo = self.swap_child(ll, f00, f10, refs, &mut created);
-            let hi = self.swap_child(ll, f01, f11, refs, &mut created);
+            let lo = self.swap_child(ll, f00, f10, refs);
+            let hi = self.swap_child(ll, f01, f11, refs);
             debug_assert!(lo != hi, "dependent node reduced away during swap");
             refs[lo as usize] += 1;
             refs[hi as usize] += 1;
-            self.core.store.write(n, lu, lo, hi);
-            let prev = self.core.unique_insert(lu, lo, hi, n);
+            self.core.rewrite(n, lu, lo, hi);
+            let prev = self.core.unique[l].insert((lo, hi), n);
             debug_assert!(prev.is_none(), "duplicate key at the upper level");
         }
 
@@ -410,35 +351,19 @@ impl BddManager {
             }
         }
 
-        // 5. The two levels trade variables, and the level lists are
-        //    rebuilt exactly for the two rewritten levels (dead lower
-        //    nodes drop out lazily via the level filter above).
+        // 5. The two levels trade variables.
         self.var_at.swap(l, l + 1);
         self.level_of[self.var_at[l] as usize] = lu;
         self.level_of[self.var_at[l + 1] as usize] = ll;
-        let mut new_upper = lower;
-        new_upper.extend_from_slice(&dependent);
-        let mut new_lower = slid;
-        new_lower.extend_from_slice(&created);
-        lists[l] = new_upper;
-        lists[l + 1] = new_lower;
     }
 
     /// Hash-consed child construction for [`swap_adjacent`], maintaining
-    /// reference counts for newly allocated nodes and recording fresh ids
-    /// for the level lists.
-    fn swap_child(
-        &mut self,
-        level: u32,
-        lo: u32,
-        hi: u32,
-        refs: &mut Vec<u32>,
-        created: &mut Vec<u32>,
-    ) -> u32 {
+    /// reference counts for newly allocated nodes.
+    fn swap_child(&mut self, level: u32, lo: u32, hi: u32, refs: &mut Vec<u32>) -> u32 {
         if lo == hi {
             return lo;
         }
-        if let Some(id) = self.core.unique_get(level, lo, hi) {
+        if let Some(&id) = self.core.unique[level as usize].get(&(lo, hi)) {
             return id;
         }
         let id = self.core.mk_unchecked(level, lo, hi);
@@ -448,7 +373,6 @@ impl BddManager {
         refs[id as usize] = 0;
         refs[lo as usize] += 1;
         refs[hi as usize] += 1;
-        created.push(id);
         id
     }
 
@@ -456,9 +380,8 @@ impl BddManager {
     fn unlink_dead(&mut self, id: u32, refs: &mut [u32]) {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
-            let (level, lo, hi) = self.core.node(n);
-            self.core.unique_remove(level, lo, hi, n);
-            self.core.release_slot(n);
+            let (_, lo, hi) = self.core.node(n);
+            self.core.free_node(n);
             for c in [lo, hi] {
                 if c > ONE {
                     refs[c as usize] -= 1;

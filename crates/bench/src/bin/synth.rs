@@ -32,11 +32,6 @@
 //!                          byte-identical either way; the split is
 //!                          reported as the ExtTim timing row
 //!   --workers N            worker threads (default: one per CPU)
-//!   --bdd-threads N        (symbolic engine) worker threads inside the
-//!                          BDD kernels themselves (default: --workers).
-//!                          Purely a wall-clock knob: equations, witnesses
-//!                          and operation counts are identical at any
-//!                          thread count
 //!   --budget N             traversal budget: max states (explicit sg),
 //!                          max live BDD nodes (symbolic sg) or max
 //!                          distinct markings (unfolding: for the one
@@ -114,7 +109,6 @@ struct Args {
     exact: bool,
     extract: CoverExtraction,
     workers: Option<usize>,
-    bdd_threads: Option<usize>,
     budget: Option<usize>,
     reorder: ReorderPolicy,
     order_seed: OrderSeed,
@@ -124,8 +118,8 @@ struct Args {
 
 fn usage() -> &'static str {
     "Usage: synth <spec.g> [--flow sg|unfolding|auto] [--engine explicit|symbolic|auto] \
-     [--cover exact|approx] [--extract isop|translate] [--workers N] [--bdd-threads N] \
-     [--budget N] [--reorder off|sift|auto] [--order-seed adjacency|invariants] [--invert] \
+     [--cover exact|approx] [--extract isop|translate] [--workers N] [--budget N] \
+     [--reorder off|sift|auto] [--order-seed adjacency|invariants] [--invert] \
      [--lint | --lint-json]"
 }
 
@@ -137,7 +131,6 @@ fn parse_args() -> Result<Args, String> {
     let mut exact = false;
     let mut extract = CoverExtraction::default();
     let mut workers = None;
-    let mut bdd_threads = None;
     let mut budget = None;
     let mut reorder = ReorderPolicy::Auto;
     let mut order_seed = OrderSeed::SignalAdjacency;
@@ -186,14 +179,6 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|&n| n > 0)
                     .ok_or("--workers needs a positive integer")?;
                 workers = Some(n);
-            }
-            "--bdd-threads" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("--bdd-threads needs a positive integer")?;
-                bdd_threads = Some(n);
             }
             "--budget" => {
                 let n = args
@@ -244,7 +229,6 @@ fn parse_args() -> Result<Args, String> {
         exact,
         extract,
         workers,
-        bdd_threads,
         budget,
         reorder,
         order_seed,
@@ -391,7 +375,6 @@ fn run_sg(
         exact_minimization: args.exact,
         allow_inversion: args.invert,
         workers: args.workers,
-        bdd_threads: args.bdd_threads,
         extraction: args.extract,
         ..defaults
     };
@@ -486,9 +469,9 @@ fn run_sg(
             stats.peak_live_nodes,
             final_reach_nodes
         );
-        // Deterministic kernel-call counters (identical at any thread
-        // count — the cross-machine perf proxy) plus the schedule-dependent
-        // mid-operation figures.
+        // Deterministic kernel-call counters (the same on any machine — the
+        // cross-machine perf proxy) plus the mid-operation maintenance
+        // figures, which repeat exactly for a given spec and options.
         println!(
             "  symbolic ops: ite {} / exists {} / and-exists {} \
              (reentrant maintenance {}, peak pool {})",

@@ -62,16 +62,6 @@ pub struct SymbolicTuning {
     /// equations are identical under every seed (pinned by the
     /// equivalence suites); only diagram sizes differ.
     pub order_seed: OrderSeed,
-    /// Worker threads for the BDD kernels (`None` = serial). Purely a
-    /// wall-clock knob: equations, witnesses and operation counts are
-    /// identical at any thread count.
-    pub bdd_threads: Option<usize>,
-    /// Minimum pool size before kernel calls dispatch to the parallel
-    /// frontier decomposition (`None` = the manager default). Below the
-    /// floor even multi-threaded managers run serially — forking work for
-    /// tiny diagrams costs more than it saves. Tests set `Some(0)` so small
-    /// specifications still exercise the parallel path.
-    pub bdd_parallel_floor: Option<usize>,
 }
 
 /// The structural heuristic that seeds the static BDD variable order
@@ -129,8 +119,6 @@ impl Default for SymbolicTuning {
             gc_threshold: base.gc_threshold,
             reorder_threshold: base.reorder_threshold,
             order_seed: OrderSeed::SignalAdjacency,
-            bdd_threads: None,
-            bdd_parallel_floor: None,
         }
     }
 }
@@ -154,8 +142,6 @@ impl SymbolicTuning {
             reorder: self.reorder,
             gc_threshold: self.gc_threshold,
             reorder_threshold: self.reorder_threshold,
-            bdd_threads: self.bdd_threads,
-            bdd_parallel_floor: self.bdd_parallel_floor,
             ..SymbolicOptions::default()
         }
     }

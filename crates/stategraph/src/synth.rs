@@ -439,6 +439,7 @@ pub struct SgSynthesisOptions {
     /// Worker threads for the per-signal on/off-set derivation and
     /// minimisation; `None` uses one per available CPU. Output is
     /// bit-identical to sequential (`Some(1)`) regardless of the count.
+    /// State traversal is serial under either engine.
     pub workers: Option<usize>,
     /// Structural heuristic seeding the symbolic engine's static variable
     /// order (ignored by the explicit engine). Gate equations are
@@ -452,11 +453,9 @@ pub struct SgSynthesisOptions {
     /// equations are byte-identical either way (pinned by the
     /// equivalence tests).
     pub extraction: CoverExtraction,
-    /// Worker threads inside the symbolic engine's BDD kernels; `None`
-    /// inherits [`workers`](Self::workers) (so one `--workers` knob speeds
-    /// up both the traversal and the per-signal minimisation). Purely a
-    /// wall-clock knob: equations, witnesses and operation counts are
-    /// identical at any thread count.
+    /// Ignored: the BDD kernels are serial. The field stays so that code
+    /// built against the earlier multi-threaded kernels, which set it,
+    /// still compiles.
     pub bdd_threads: Option<usize>,
 }
 
@@ -487,10 +486,6 @@ impl SgSynthesisOptions {
             reorder: self.symbolic_reorder,
             gc_threshold: self.symbolic_gc_threshold,
             order_seed: self.symbolic_order_seed,
-            bdd_threads: self
-                .bdd_threads
-                .or(self.workers)
-                .or_else(|| std::thread::available_parallelism().map(|p| p.get()).ok()),
             ..SymbolicTuning::default()
         }
     }

@@ -3,12 +3,9 @@
 //! sequential (`workers = Some(1)`) path — and repeated runs must agree
 //! with each other (no hash-iteration order may leak into the output).
 
-use si_synth::stategraph::{
-    synthesize_from_sg, synthesize_from_symbolic_sg, ReorderPolicy, SgEngine, SgSynthesisOptions,
-    SymbolicSg,
-};
+use si_synth::stategraph::{synthesize_from_sg, ReorderPolicy, SgEngine, SgSynthesisOptions};
 use si_synth::stg::generators::{muller_pipeline, sequencer, wide_arbiter};
-use si_synth::stg::suite::{paper_fig4ab, request_mux, vme_read_csc, vme_read_no_csc};
+use si_synth::stg::suite::{paper_fig4ab, request_mux, vme_read_csc};
 use si_synth::stg::Stg;
 use si_synth::synthesis::{synthesize_from_unfolding, SynthesisOptions};
 use si_synth::unfolding::{StgUnfolding, UnfoldingOptions};
@@ -190,95 +187,6 @@ fn symbolic_gc_stress_is_deterministic_across_workers_and_runs() {
             sg_fingerprint(&stg, &SgSynthesisOptions::default()),
             "{}: gc/reorder stress changed the gates",
             stg.name()
-        );
-    }
-}
-
-/// Fingerprint of a symbolic run at the given kernel thread count and pool
-/// policy: gates (byte-for-byte), state count, per-signal on/off-set sat
-/// counts, and the deterministic kernel operation counters. The parallel
-/// dispatch floor is forced to 0 so these small specifications actually
-/// exercise the work-stealing apply, not just the serial fallback.
-fn symbolic_fingerprint(
-    stg: &si_synth::stg::Stg,
-    bdd_threads: usize,
-    reorder: ReorderPolicy,
-    gc_threshold: usize,
-) -> String {
-    let options = SgSynthesisOptions {
-        engine: SgEngine::Symbolic,
-        symbolic_reorder: reorder,
-        symbolic_gc_threshold: gc_threshold,
-        bdd_threads: Some(bdd_threads),
-        ..Default::default()
-    };
-    let mut tuning = options.symbolic_tuning();
-    tuning.bdd_parallel_floor = Some(0);
-    let mut sym = SymbolicSg::build(stg, &tuning).expect("symbolic reachability succeeds");
-    let stats = sym.reach().stats().clone();
-    let result = synthesize_from_symbolic_sg(stg, &mut sym, &options).expect("synthesis succeeds");
-    let gates: String = result
-        .gates
-        .iter()
-        .map(|g| format!("{}|{}|{:?}\n", g.equation(stg), g.inverted, g.cover))
-        .collect();
-    format!(
-        "{gates}states={} ops={:?} peak_live={}\n",
-        sym.state_count(),
-        stats.ops,
-        stats.peak_live_nodes
-    )
-}
-
-#[test]
-fn bdd_thread_count_is_invisible_across_gc_and_sift_policies() {
-    // The tentpole determinism claim, end to end at the facade level: for
-    // every combination of reorder policy and GC pressure, the kernel
-    // thread count changes nothing — not the gates, not the state count,
-    // not the on/off sets, not even the operation counters or the live
-    // peak at the fixpoint checkpoints.
-    let default_gc = SgSynthesisOptions::default().symbolic_gc_threshold;
-    for stg in [muller_pipeline(5), wide_arbiter(5), vme_read_csc()] {
-        for reorder in [ReorderPolicy::Off, ReorderPolicy::Sift, ReorderPolicy::Auto] {
-            for gc_threshold in [0, default_gc] {
-                let reference = symbolic_fingerprint(&stg, 1, reorder, gc_threshold);
-                for threads in [2, 4] {
-                    assert_eq!(
-                        reference,
-                        symbolic_fingerprint(&stg, threads, reorder, gc_threshold),
-                        "{}: bdd_threads={threads} reorder={reorder:?} gc={gc_threshold} \
-                         diverged from single-threaded",
-                        stg.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn csc_witness_is_identical_at_every_bdd_thread_count() {
-    // A CSC failure must report the same witness code at any thread count:
-    // the conflict-set pick must come from canonical diagram traversal, not
-    // from whichever worker found a conflict first.
-    let stg = vme_read_no_csc();
-    let witness = |threads| {
-        synthesize_from_sg(
-            &stg,
-            &SgSynthesisOptions {
-                engine: SgEngine::Symbolic,
-                bdd_threads: Some(threads),
-                ..Default::default()
-            },
-        )
-        .expect_err("vme_read_no_csc violates CSC")
-    };
-    let reference = witness(1);
-    for threads in [2, 4] {
-        assert_eq!(
-            reference,
-            witness(threads),
-            "CSC witness differs at bdd_threads={threads}"
         );
     }
 }

@@ -200,91 +200,6 @@ proptest! {
     }
 
     #[test]
-    fn kernel_thread_count_preserves_every_function(
-        w in 3usize..8,
-        ops in vec(op(), 1..24),
-        mutations in vec(mutation(), 1..6),
-        seed in any::<u64>(),
-    ) {
-        // The work-stealing apply is a pure wall-clock knob: the same
-        // random program, run under multi-threaded managers with the
-        // parallel dispatch floor forced to 0 (so even tiny diagrams take
-        // the parallel path), must land on semantically identical functions
-        // — same model counts, same point evaluations, same canonical
-        // implicit covers — and survive the same mutation sequences. Node
-        // *indices* are allocation-order-dependent and deliberately not
-        // compared.
-        let mut serial = BddManager::new(w);
-        let stack = run_program(&mut serial, &ops);
-        let mut pool = ImplicitPool::new(w);
-        let counts: Vec<u128> = stack.iter().map(|&f| serial.sat_count(f)).collect();
-        let evals: Vec<Vec<bool>> = stack
-            .iter()
-            .map(|&f| (0..16).map(|j| serial.eval(f, &assignment(seed, j, w))).collect())
-            .collect();
-        let sets: Vec<ImplicitCover> = stack
-            .iter()
-            .map(|&f| implicit_of(&serial, f, &mut pool))
-            .collect();
-
-        for threads in [2usize, 4] {
-            let mut mgr = BddManager::new(w);
-            mgr.set_threads(threads);
-            mgr.set_parallel_floor(0);
-            let threaded = run_program(&mut mgr, &ops);
-            for &f in &threaded {
-                mgr.protect(f);
-            }
-            mgr.assert_invariants();
-            for (i, &f) in threaded.iter().enumerate() {
-                prop_assert_eq!(
-                    mgr.sat_count(f), counts[i],
-                    "sat_count differs at {} threads", threads
-                );
-                for j in 0..16u64 {
-                    prop_assert_eq!(
-                        mgr.eval(f, &assignment(seed, j, w)),
-                        evals[i][j as usize],
-                        "eval differs at {} threads", threads
-                    );
-                }
-                prop_assert_eq!(
-                    implicit_of(&mgr, f, &mut pool), sets[i].clone(),
-                    "canonical cover differs at {} threads", threads
-                );
-            }
-            // The mutation machinery (swaps, sifting, collection) must be
-            // just as function-preserving in a multi-threaded manager.
-            for m in &mutations {
-                match m {
-                    Mutation::Swap(l) => mgr.swap_levels(*l as usize % (w - 1)),
-                    Mutation::Sift => {
-                        mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
-                    }
-                    Mutation::Gc => {
-                        mgr.gc();
-                    }
-                }
-                mgr.assert_invariants();
-            }
-            for (i, &f) in threaded.iter().enumerate() {
-                prop_assert!(mgr.is_live(f), "mutations collected a protected handle");
-                prop_assert_eq!(
-                    mgr.sat_count(f), counts[i],
-                    "sat_count drifted after mutations at {} threads", threads
-                );
-                prop_assert_eq!(
-                    implicit_of(&mgr, f, &mut pool), sets[i].clone(),
-                    "canonical cover drifted after mutations at {} threads", threads
-                );
-            }
-            for &f in &threaded {
-                mgr.unprotect(f);
-            }
-        }
-    }
-
-    #[test]
     fn rebuilding_after_mutations_is_canonical(
         w in 3usize..8,
         ops in vec(op(), 1..16),
