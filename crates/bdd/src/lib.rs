@@ -3,14 +3,14 @@
 //! The symbolic substrate for BDD-based state traversal: a classic ROBDD
 //! engine with a hash-consed unique table (the same canonicity discipline as
 //! `si_cubes::implicit`), a memoised complement-edge-free [`ite`] kernel,
-//! existential quantification ([`exists`]) and the relational product
-//! ([`and_exists`]) that image computation is built from, a variable-order
-//! heuristic seeded from adjacency ([`order_from_adjacency`]), and lossless
+//! existential quantification ([`exists`]) for image computation, the
+//! fused relational product ([`and_exists`]), a variable-order heuristic
+//! seeded from adjacency ([`order_from_adjacency`]), and lossless
 //! conversion both ways between [`Bdd`] functions and
-//! [`si_cubes::implicit::ImplicitCover`] point sets, plus a BDD-native
-//! Minato–Morreale irredundant-SOP extraction
-//! ([`isop`](BddManager::isop) / [`isop_implicit`](BddManager::isop_implicit))
-//! that reads covers straight off the diagram.
+//! [`si_cubes::implicit::ImplicitCover`] point sets: a batch of functions
+//! translates into one pool in a single walk
+//! ([`to_implicit`](BddManager::to_implicit)), which is how the symbolic
+//! engine hands each signal's on/off code sets to the minimiser.
 //!
 //! The pool is kept alive under memory pressure by two mechanisms built for
 //! long symbolic fixpoints: refcounted root protection with mark-and-sweep
@@ -62,12 +62,11 @@
 
 mod convert;
 mod core;
-mod isop;
 mod manager;
 mod order;
 mod sift;
 
-pub use convert::{ConvertError, TranslationCache};
+pub use convert::ConvertError;
 pub use manager::{Bdd, BddManager, MaintenanceStats, OpCounts, ReentrantConfig};
 pub use order::order_from_adjacency;
 pub use sift::{AutoReorder, ReorderPolicy};

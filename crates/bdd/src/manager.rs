@@ -11,7 +11,6 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use crate::core::{Core, OpResult, FREE, ONE, ZERO};
-use crate::isop::IsopTables;
 use crate::sift::ReorderPolicy;
 
 /// A handle to a Boolean function owned by a [`BddManager`].
@@ -125,9 +124,6 @@ pub struct BddManager {
     pub(crate) var_at: Vec<u32>,
     /// External root protection: node id → protect count.
     pub(crate) roots: HashMap<u32, usize>,
-    /// ISOP extraction state: cover-DAG arena + `(L, U)` memo (see
-    /// [`crate::isop`]); purged on GC, cleared on reorder.
-    pub(crate) isop: IsopTables,
     maint: Option<ReentrantConfig>,
     op_counts: OpCounts,
     pub(crate) maint_stats: MaintenanceStats,
@@ -176,7 +172,6 @@ impl BddManager {
             level_of,
             var_at,
             roots: HashMap::new(),
-            isop: IsopTables::default(),
             maint: None,
             op_counts: OpCounts::default(),
             maint_stats: MaintenanceStats::default(),
@@ -358,7 +353,6 @@ impl BddManager {
             }
         }
         self.core.purge_caches(|n| n > ONE && !marked[n as usize]);
-        self.isop.purge(|n| n > ONE && !marked[n as usize]);
         let mut collected = 0usize;
         for (id, live) in marked.iter().enumerate().skip(2) {
             if *live || self.core.raw(id as u32).0 == FREE {

@@ -141,10 +141,8 @@ impl BddManager {
         );
         self.gc();
         // Swaps retire nodes without mark information, so the memoised
-        // results must go wholesale (gc alone purges selectively). The ISOP
-        // tables go too: memoised covers were split on the old levels.
+        // results must go wholesale (gc alone purges selectively).
         self.core.clear_caches();
-        self.isop.clear();
         let mut refs = self.compute_refs();
         self.swap_adjacent(level, &mut refs);
     }
@@ -181,7 +179,6 @@ impl BddManager {
     fn sift_all(&mut self, max_growth: f64) -> (usize, usize) {
         self.collect();
         self.core.clear_caches();
-        self.isop.clear();
         let before = self.pool_size();
         if self.num_vars() < 2 || before == 0 {
             return (before, before);

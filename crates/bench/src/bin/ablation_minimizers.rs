@@ -6,12 +6,12 @@
 //! literal counts and time for all three on every suite benchmark's exact
 //! on/off-sets.
 //!
-//! The cover-extraction front end (BDD-native ISOP vs disjoint-cube
-//! translation, `--extract` on `synth`) is out of scope here and changes
-//! nothing below: both front ends collapse to the same canonical point
-//! sets before any minimiser runs, so the literal columns — and in
-//! particular the `>budget` verdicts in the QM column, which are charged
-//! against those point sets — are identical under either.
+//! Cover extraction (the symbolic engine's translation of the reachable
+//! BDD into point sets) is out of scope here: the sets below come from the
+//! explicit state graph, and the symbolic engine hands the minimisers the
+//! same canonical point sets, so the literal columns — and in particular
+//! the `>budget` verdicts in the QM column, which are charged against
+//! those point sets — hold for either engine.
 //!
 //! Run with: `cargo run -p si-bench --release --bin ablation_minimizers`
 

@@ -23,14 +23,6 @@
 //!   --cover exact|approx   cover derivation / minimisation mode
 //!                          (default: approx; for --flow sg, `exact`
 //!                          selects exact Quine–McCluskey minimisation)
-//!   --extract isop|translate
-//!                          (symbolic engine) front end deriving each
-//!                          signal's on/off sets from the reachable BDD:
-//!                          native Minato–Morreale ISOP extraction
-//!                          (default) or the historical node-by-node
-//!                          translation — gate equations are
-//!                          byte-identical either way; the split is
-//!                          reported as the ExtTim timing row
 //!   --workers N            worker threads (default: one per CPU)
 //!   --budget N             traversal budget: max states (explicit sg),
 //!                          max live BDD nodes (symbolic sg) or max
@@ -72,8 +64,8 @@ use std::time::Instant;
 
 use si_bench::secs;
 use si_stategraph::{
-    check_implementable, synthesize_from_built_sg, synthesize_from_on_off_sets, CoverExtraction,
-    OrderSeed, ReorderPolicy, SgEngine, SgSynthesis, SgSynthesisOptions, StateGraph, SymbolicSg,
+    check_implementable, synthesize_from_built_sg, synthesize_from_on_off_sets, OrderSeed,
+    ReorderPolicy, SgEngine, SgSynthesis, SgSynthesisOptions, StateGraph, SymbolicSg,
 };
 use si_stg::analysis::lint_text;
 use si_stg::{parse_g, Stg};
@@ -107,7 +99,6 @@ struct Args {
     flow: Flow,
     engine: EngineArg,
     exact: bool,
-    extract: CoverExtraction,
     workers: Option<usize>,
     budget: Option<usize>,
     reorder: ReorderPolicy,
@@ -118,7 +109,7 @@ struct Args {
 
 fn usage() -> &'static str {
     "Usage: synth <spec.g> [--flow sg|unfolding|auto] [--engine explicit|symbolic|auto] \
-     [--cover exact|approx] [--extract isop|translate] [--workers N] [--budget N] \
+     [--cover exact|approx] [--workers N] [--budget N] \
      [--reorder off|sift|auto] [--order-seed adjacency|invariants] [--invert] \
      [--lint | --lint-json]"
 }
@@ -129,7 +120,6 @@ fn parse_args() -> Result<Args, String> {
     let mut flow = Flow::Unfolding;
     let mut engine = None;
     let mut exact = false;
-    let mut extract = CoverExtraction::default();
     let mut workers = None;
     let mut budget = None;
     let mut reorder = ReorderPolicy::Auto;
@@ -164,13 +154,6 @@ fn parse_args() -> Result<Args, String> {
                     Some("approx") => false,
                     other => return Err(format!("--cover needs exact|approx, got {other:?}")),
                 }
-            }
-            "--extract" => {
-                extract = args
-                    .next()
-                    .as_deref()
-                    .and_then(CoverExtraction::parse)
-                    .ok_or("--extract needs isop|translate")?;
             }
             "--workers" => {
                 let n = args
@@ -227,7 +210,6 @@ fn parse_args() -> Result<Args, String> {
         flow,
         engine: engine.unwrap_or(EngineArg::Explicit),
         exact,
-        extract,
         workers,
         budget,
         reorder,
@@ -375,7 +357,6 @@ fn run_sg(
         exact_minimization: args.exact,
         allow_inversion: args.invert,
         workers: args.workers,
-        extraction: args.extract,
         ..defaults
     };
     // Phase 1 ("reach"): state-space traversal — explicit enumeration or
@@ -469,27 +450,20 @@ fn run_sg(
             stats.peak_live_nodes,
             final_reach_nodes
         );
-        // Deterministic kernel-call counters (the same on any machine — the
-        // cross-machine perf proxy) plus the mid-operation maintenance
-        // figures, which repeat exactly for a given spec and options.
+        // Deterministic kernel-call counters of the fixpoint (the same on
+        // any machine — the cross-machine perf proxy) plus the
+        // mid-operation maintenance figures, which repeat exactly for a
+        // given spec and options.
         println!(
-            "  symbolic ops: ite {} / exists {} / and-exists {} \
+            "  symbolic ops: ite {} / exists {} \
              (reentrant maintenance {}, peak pool {})",
-            stats.ops.ite,
-            stats.ops.exists,
-            stats.ops.and_exists,
-            stats.reentrant_maintenance,
-            stats.peak_pool
+            stats.ops.ite, stats.ops.exists, stats.reentrant_maintenance, stats.peak_pool
         );
     }
     if let Some(ext) = extraction_time {
-        // Slice of the synth row (already included there): the cover
-        // extraction front end's share of the non-reach time.
-        let front = match options.extraction {
-            CoverExtraction::Isop => "isop",
-            CoverExtraction::Translate => "translate",
-        };
-        println!("{:>10} {:>10}   ({front} front end)", "ExtTim", secs(ext));
+        // Slice of the synth row (already included there): cover
+        // extraction's share of the non-reach time.
+        println!("{:>10} {:>10}", "ExtTim", secs(ext));
     }
     println!("{:>10} {:>10}", "synth", secs(syn_time));
     println!(

@@ -183,7 +183,10 @@ pub struct SymbolicStats {
     /// peak — the smallest [`SymbolicOptions::node_budget`] the run fits in.
     pub peak_live_nodes: usize,
     /// Deterministic operation counters: public `ite`/`exists`/`and_exists`
-    /// calls issued by the run. Identical on any machine and under any
+    /// calls issued by the fixpoint, snapshotted when it ends. Calls a
+    /// caller makes afterwards through [`SymbolicReach::manager_mut`] are
+    /// not counted here; the fixpoint itself never calls `and_exists`, so
+    /// that counter reads 0. Identical on any machine and under any
     /// GC/reorder schedule — the machine-independent perf proxy CI pins.
     pub ops: OpCounts,
     /// Reentrant mid-operation maintenance passes (GC/reorder at a kernel

@@ -30,7 +30,7 @@
 //!
 //! [`StateGraph`]: crate::StateGraph
 
-use si_bdd::{order_from_adjacency, Bdd, ConvertError, ReorderPolicy, TranslationCache};
+use si_bdd::{order_from_adjacency, Bdd, ReorderPolicy};
 use si_cubes::implicit::{ImplicitCover, ImplicitPool};
 use si_petri::structural::{certify_one_safe, SafetyCertificate};
 use si_petri::{AuxAction, SymbolicOptions, SymbolicReach};
@@ -81,33 +81,19 @@ pub enum OrderSeed {
     PlaceInvariants,
 }
 
-/// The front end deriving each signal's implicit on/off code sets from the
-/// reachable BDD. Both front ends hand the minimiser the same canonical
-/// point sets, so gate equations are **byte-identical** either way (pinned
-/// by the equivalence suites); only the extraction cost differs.
+/// How each signal's implicit on/off code sets are read out of the
+/// reachable BDD. The node-by-node translation into the implicit pool
+/// ([`si_bdd::BddManager::to_implicit`]) is the only front end, so the enum
+/// has one variant. It is kept only because the benchmark worker passes
+/// [`SgSynthesisOptions::extraction`](crate::SgSynthesisOptions::extraction)
+/// to [`SymbolicSg::extract_on_off_sets`]; once it stops, the enum, that
+/// field and that parameter can go.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoverExtraction {
-    /// Minato–Morreale ISOP recursion natively on the code BDDs
-    /// ([`si_bdd::BddManager::isop_implicit`]): one memoised three-way
-    /// cofactor walk per set, no disjoint-cube enumeration. The default.
+    /// Translate each code BDD node by node through the implicit pool's
+    /// set algebra.
     #[default]
-    Isop,
-    /// The historical translation path
-    /// ([`si_bdd::BddManager::to_implicit`]): rebuild each code BDD's
-    /// point set node by node through the implicit pool's set algebra.
-    /// Kept as the cross-check ablation.
     Translate,
-}
-
-impl CoverExtraction {
-    /// Parses a CLI name: `isop` or `translate`.
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "isop" => Some(CoverExtraction::Isop),
-            "translate" => Some(CoverExtraction::Translate),
-            _ => None,
-        }
-    }
 }
 
 impl Default for SymbolicTuning {
@@ -355,31 +341,19 @@ impl SymbolicSg {
     /// Panics if the signal id is out of range.
     pub fn on_off_sets(&self, signal: SignalId) -> ImplicitOnOffSets {
         let mut pool = ImplicitPool::new(self.width);
-        let mgr = self.reach.manager();
-        let on = expect_code_set(mgr.to_implicit(
-            self.on_codes[signal.index()],
-            &mut pool,
-            &self.code_map,
-        ));
-        let off = expect_code_set(mgr.to_implicit(
-            self.off_codes[signal.index()],
-            &mut pool,
-            &self.code_map,
-        ));
-        ImplicitOnOffSets::from_parts(signal, pool, on, off)
+        let i = signal.index();
+        let sets = self.code_sets(&[self.on_codes[i], self.off_codes[i]], &mut pool);
+        ImplicitOnOffSets::from_parts(signal, pool, sets[0], sets[1])
     }
 
-    /// The on/off code sets of every signal in `signals`, extracted with
-    /// the selected front end into **one** shared pool (shared code
-    /// subgraphs convert once across the whole batch, not once per
-    /// signal) and then carved into per-signal pools ready for parallel
-    /// minimisation. Both front ends produce the same point sets, so
-    /// everything downstream is byte-identical (pinned by the
-    /// equivalence suites).
+    /// The on/off code sets of every signal in `signals`, converted in one
+    /// batch into **one** shared pool (shared code subgraphs convert once
+    /// across the whole batch, not once per signal) and then carved into
+    /// per-signal pools ready for parallel minimisation.
     ///
-    /// Takes `&mut self` because ISOP extraction writes the BDD
-    /// manager's memo tables; the reachable relation itself is not
-    /// touched.
+    /// The [`CoverExtraction`] argument is unused: the enum has one
+    /// variant. It and the `&mut self` receiver are kept only for the
+    /// benchmark worker, which calls this method with them.
     ///
     /// # Panics
     ///
@@ -387,59 +361,39 @@ impl SymbolicSg {
     pub fn extract_on_off_sets(
         &mut self,
         signals: &[SignalId],
-        extraction: CoverExtraction,
+        _extraction: CoverExtraction,
     ) -> Vec<ImplicitOnOffSets> {
+        let codes: Vec<Bdd> = signals
+            .iter()
+            .flat_map(|s| [self.on_codes[s.index()], self.off_codes[s.index()]])
+            .collect();
         let mut shared = ImplicitPool::new(self.width);
-        let mut cache = TranslationCache::default();
-        let mut sets = Vec::with_capacity(signals.len());
-        for &signal in signals {
-            let on_bdd = self.on_codes[signal.index()];
-            let off_bdd = self.off_codes[signal.index()];
-            let (on, off) = match extraction {
-                CoverExtraction::Isop => {
-                    let mgr = self.reach.manager_mut();
-                    (
-                        expect_code_set(mgr.isop_implicit(on_bdd, &mut shared, &self.code_map)),
-                        expect_code_set(mgr.isop_implicit(off_bdd, &mut shared, &self.code_map)),
-                    )
-                }
-                CoverExtraction::Translate => {
-                    let mgr = self.reach.manager();
-                    (
-                        expect_code_set(mgr.to_implicit_cached(
-                            on_bdd,
-                            &mut shared,
-                            &self.code_map,
-                            &mut cache,
-                        )),
-                        expect_code_set(mgr.to_implicit_cached(
-                            off_bdd,
-                            &mut shared,
-                            &self.code_map,
-                            &mut cache,
-                        )),
-                    )
-                }
-            };
-            // Carve the pair out of the shared pool: minimisation
-            // mutates its pool, and the per-signal workers run in
-            // parallel, so each signal gets a minimal pool of its own.
-            let mut pool = ImplicitPool::new(self.width);
-            let on = pool.copy_set_from(&shared, on);
-            let off = pool.copy_set_from(&shared, off);
-            sets.push(ImplicitOnOffSets::from_parts(signal, pool, on, off));
-        }
-        sets
+        let converted = self.code_sets(&codes, &mut shared);
+        signals
+            .iter()
+            .zip(converted.chunks_exact(2))
+            .map(|(&signal, pair)| {
+                // Carve the pair out of the shared pool: minimisation
+                // mutates its pool, and the per-signal workers run in
+                // parallel, so each signal gets a minimal pool of its own.
+                let mut pool = ImplicitPool::new(self.width);
+                let on = pool.copy_set_from(&shared, pair[0]);
+                let off = pool.copy_set_from(&shared, pair[1]);
+                ImplicitOnOffSets::from_parts(signal, pool, on, off)
+            })
+            .collect()
     }
-}
 
-/// Unwraps a code-set conversion: the on/off code BDDs are projections
-/// onto the code variables (everything else is quantified out during
-/// [`SymbolicSg::build`]), so their support is mapped by construction.
-fn expect_code_set(set: Result<ImplicitCover, ConvertError>) -> ImplicitCover {
-    match set {
-        Ok(set) => set,
-        Err(e) => unreachable!("code sets live on mapped code variables: {e}"),
+    /// Converts code BDDs into `pool`, one set per function, in one batch.
+    /// The code BDDs are projections onto the code variables (everything
+    /// else is quantified out during [`build`](Self::build)), so their
+    /// support is mapped by construction.
+    fn code_sets(&self, codes: &[Bdd], pool: &mut ImplicitPool) -> Vec<ImplicitCover> {
+        let mgr = self.reach.manager();
+        match mgr.to_implicit(codes, pool, &self.code_map) {
+            Ok(sets) => sets,
+            Err(e) => unreachable!("code sets live on mapped code variables: {e}"),
+        }
     }
 }
 

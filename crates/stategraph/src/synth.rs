@@ -446,12 +446,9 @@ pub struct SgSynthesisOptions {
     /// byte-identical under every seed (pinned by the equivalence tests);
     /// only diagram sizes differ.
     pub symbolic_order_seed: OrderSeed,
-    /// Front end deriving each signal's on/off sets from the symbolic
-    /// engine's reachable BDD (ignored by the explicit engine): native
-    /// Minato–Morreale ISOP extraction (the default) or the historical
-    /// node-by-node translation, kept as the cross-check ablation. Gate
-    /// equations are byte-identical either way (pinned by the
-    /// equivalence tests).
+    /// Ignored: [`CoverExtraction`] has one variant. The field stays only
+    /// because the benchmark worker passes it to
+    /// [`SymbolicSg::extract_on_off_sets`].
     pub extraction: CoverExtraction,
     /// Ignored: the BDD kernels are serial. The field stays so that code
     /// built against the earlier multi-threaded kernels, which set it,
@@ -618,12 +615,13 @@ pub fn synthesize_from_built_sg(
 /// Synthesises all implementable signals from an already built
 /// [`SymbolicSg`] — the engine-split counterpart of
 /// [`synthesize_from_built_sg`], exposing the intermediate reachability
-/// result so callers (the `synth` CLI, the benches) can time the phases
-/// separately. Gate equations are byte-identical to the explicit engine's
-/// under either [`CoverExtraction`] front end.
+/// result so callers (the benches) can time the phases separately. Each
+/// signal's on/off code sets are translated out of the reachable BDD in
+/// one batch; gate equations are byte-identical to the explicit engine's.
 ///
-/// Takes `&mut SymbolicSg` because ISOP extraction writes the BDD
-/// manager's memo tables; the reachable relation itself is not touched.
+/// Takes `&mut SymbolicSg` only because
+/// [`SymbolicSg::extract_on_off_sets`] keeps its `&mut self` receiver for
+/// the benchmark worker; nothing in `sym` is modified.
 ///
 /// # Errors
 ///

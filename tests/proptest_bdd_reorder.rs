@@ -5,7 +5,9 @@
 //! on random assignments, same canonical `ImplicitCover` — and the unique
 //! table must satisfy its structural invariants (no duplicate
 //! `(level, lo, hi)` triples, `lo != hi`, live strictly-deeper children),
-//! checked by `BddManager::assert_invariants`.
+//! checked by `BddManager::assert_invariants`. On the mutated manager, one
+//! batch translation of the whole stack must equal one translation per
+//! function.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -124,10 +126,11 @@ fn assignment(seed: u64, j: u64, w: usize) -> Vec<bool> {
     (0..w).map(|i| (x >> (i as u64 % 64)) & 1 == 1).collect()
 }
 
-/// The canonical implicit point set of `f`, in `pool` (identity map).
-fn implicit_of(mgr: &BddManager, f: Bdd, pool: &mut ImplicitPool) -> ImplicitCover {
+/// The canonical implicit point sets of `fs`, in `pool` (identity map),
+/// translated in one batch.
+fn implicit_of(mgr: &BddManager, fs: &[Bdd], pool: &mut ImplicitPool) -> Vec<ImplicitCover> {
     let map: Vec<Option<usize>> = (0..mgr.num_vars()).map(Some).collect();
-    mgr.to_implicit(f, pool, &map)
+    mgr.to_implicit(fs, pool, &map)
         .expect("identity map covers the support")
 }
 
@@ -158,7 +161,7 @@ proptest! {
             .collect();
         let sets: Vec<ImplicitCover> = stack
             .iter()
-            .map(|&f| implicit_of(&mgr, f, &mut pool))
+            .flat_map(|&f| implicit_of(&mgr, &[f], &mut pool))
             .collect();
 
         for m in &mutations {
@@ -186,12 +189,15 @@ proptest! {
         }
 
         // The canonical point sets — and hence the implicit round-trip —
-        // are untouched by any mutation sequence.
+        // are untouched by any mutation sequence, and the batch call's
+        // shared memo lands on the same sets as one call per function.
+        let batch = implicit_of(&mgr, &stack, &mut pool);
+        prop_assert_eq!(&batch, &sets, "batch translation drifted");
         for (i, &f) in stack.iter().enumerate() {
-            let set = implicit_of(&mgr, f, &mut pool);
-            prop_assert_eq!(set, sets[i], "implicit cover drifted");
+            let single = implicit_of(&mgr, &[f], &mut pool);
+            prop_assert_eq!(&single, &[sets[i]], "implicit cover drifted");
             let map: Vec<usize> = (0..w).collect();
-            let back = mgr.from_implicit(&pool, set, &map);
+            let back = mgr.from_implicit(&pool, sets[i], &map);
             prop_assert_eq!(back, f, "round-trip landed on a different function");
         }
         for &f in &stack {
