@@ -22,8 +22,9 @@
 //!   checkpoints.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
+
+use si_cubes::fx::{FxHasher, FxMap};
 
 /// Terminal node id for the constant 0 function.
 pub(crate) const ZERO: u32 = 0;
@@ -50,52 +51,6 @@ const CHECK_INTERVAL: u64 = 1024;
 pub(crate) struct Interrupted;
 
 pub(crate) type OpResult = Result<u32, Interrupted>;
-
-/// A deterministic multiply-rotate hasher (the rustc-hash construction):
-/// process-independent — unlike `RandomState` — and fast on the small fixed
-/// keys used here, so table behaviour (and with it performance) repeats
-/// exactly from run to run, even though no hash order ever reaches an
-/// output.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
-        }
-    }
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(n as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    #[inline]
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-pub(crate) type FxMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Maps per operation cache: a growing map rehashes 1/64 of its cache at a
 /// time. One map per cache was measured and raised the peak RSS of the

@@ -25,7 +25,13 @@
 //!   leftmost path of the residual implicit set;
 //! * IRREDUNDANT's and REDUCE's cover-containment questions reduce to
 //!   emptiness of implicit differences, and REDUCE's residue supercube is
-//!   the supercube of one implicit set.
+//!   the supercube of one implicit set;
+//! * the "rest of the cover" each of those questions needs is one union of
+//!   two running sets — the cubes already decided, and the precomputed
+//!   union of the cubes still to come — so a pass over `k` cubes costs
+//!   `O(k)` unions instead of rebuilding `k - 1` cubes for every cube. The
+//!   diagram is canonical, so the running union is the same point set, and
+//!   every decision the same, as the rebuilt one.
 //!
 //! ## Example
 //!
@@ -48,11 +54,12 @@
 //! assert_eq!(gate.to_expression_string(&["a", "b", "c"]), "a + c");
 //! ```
 
-use std::collections::HashMap;
+use std::cmp::Ordering;
 
 use crate::cover::Cover;
 use crate::cube::{Cube, Literal};
 use crate::espresso::canonical_order;
+use crate::fx::{FxMap, FxSet};
 use crate::qm::{minimize_exact, QmBudget};
 
 /// Terminal node id for the empty set (constant 0).
@@ -94,8 +101,8 @@ pub struct ImplicitPool {
     width: usize,
     /// `(var, lo, hi)`; entries 0/1 are terminal placeholders.
     nodes: Vec<(u32, u32, u32)>,
-    unique: HashMap<(u32, u32, u32), u32>,
-    cache: HashMap<(u8, u32, u32), u32>,
+    unique: FxMap<(u32, u32, u32), u32>,
+    cache: FxMap<(u8, u32, u32), u32>,
 }
 
 impl ImplicitPool {
@@ -104,8 +111,8 @@ impl ImplicitPool {
         ImplicitPool {
             width,
             nodes: vec![(u32::MAX, 0, 0), (u32::MAX, 1, 1)],
-            unique: HashMap::new(),
-            cache: HashMap::new(),
+            unique: FxMap::default(),
+            cache: FxMap::default(),
         }
     }
 
@@ -252,11 +259,11 @@ impl ImplicitPool {
             self.width, src.width,
             "copying a set between pools of different widths"
         );
-        let mut memo = HashMap::new();
+        let mut memo = FxMap::default();
         ImplicitCover(self.copy_rec(src, set.0, &mut memo))
     }
 
-    fn copy_rec(&mut self, src: &ImplicitPool, n: u32, memo: &mut HashMap<u32, u32>) -> u32 {
+    fn copy_rec(&mut self, src: &ImplicitPool, n: u32, memo: &mut FxMap<u32, u32>) -> u32 {
         if n <= FULL {
             return n;
         }
@@ -337,58 +344,51 @@ impl ImplicitPool {
         acc
     }
 
-    /// Builds the set of a batch of complete minterms, merging shared
-    /// suffixes as it goes (the rows are reordered in place). This is the
-    /// bulk entry point for SG traversal: O(rows × width) with no
-    /// intermediate per-state cube allocation.
+    /// Builds the set of a batch of complete minterms; duplicate rows
+    /// collapse. This is the bulk entry point for state traversals, with no
+    /// per-state cube allocation.
+    ///
+    /// Rows already in canonical order ([`cmp_minterm_rows`]) cost one
+    /// linear pass to confirm the order, then each diagram node splits its
+    /// sorted run of rows by binary search. Rows in any other order are
+    /// sorted in place first.
     pub fn from_minterms(&mut self, list: &mut MintermList) -> ImplicitCover {
         debug_assert_eq!(list.width, self.width);
-        let blocks = list.blocks;
-        let width = self.width;
-        let mut data = std::mem::take(&mut list.data);
-        let root = self.build_sorted(&mut data, blocks, 0, width);
-        list.data = data;
-        ImplicitCover(root)
+        list.sort();
+        ImplicitCover(self.build_run(&list.data, list.blocks, 0))
     }
 
-    /// Recursive bulk build: partition the rows on `var` (zeros first) and
-    /// hash-cons the two halves.
-    fn build_sorted(&mut self, rows: &mut [u64], blocks: usize, var: usize, width: usize) -> u32 {
+    /// Builds the set of a run of canonically sorted rows that agree on
+    /// every variable before `var`.
+    fn build_run(&mut self, rows: &[u64], blocks: usize, var: usize) -> u32 {
         if rows.is_empty() {
             return EMPTY;
         }
-        if var == width {
+        if var == self.width {
             return FULL;
         }
-        let n = rows.len() / blocks;
-        let (b, m) = (var / 64, 1u64 << (var % 64));
-        // In-place partition: rows with bit 0 first.
-        let mut lo_end = 0usize;
-        for i in 0..n {
-            if rows[i * blocks + b] & m == 0 {
-                if i != lo_end {
-                    for k in 0..blocks {
-                        rows.swap(lo_end * blocks + k, i * blocks + k);
-                    }
-                }
-                lo_end += 1;
-            }
-        }
-        let (lo_rows, hi_rows) = rows.split_at_mut(lo_end * blocks);
-        let lo = self.build_sorted(lo_rows, blocks, var + 1, width);
-        let hi = self.build_sorted(hi_rows, blocks, var + 1, width);
+        let (zeros, ones) = rows.split_at(split_run(rows, blocks, var) * blocks);
+        let lo = self.build_run(zeros, blocks, var + 1);
+        let hi = self.build_run(ones, blocks, var + 1);
         self.mk(var as u32, lo, hi)
     }
 
     /// Returns `true` if `cube` shares at least one point with `set` — the
     /// implicit form of the minimiser's innermost disjointness probe.
-    pub fn cube_intersects(&self, cube: &Cube, set: ImplicitCover) -> bool {
+    /// `memo` is per-node scratch, cleared here, so that EXPAND's run of
+    /// raise probes allocates it once.
+    fn cube_intersects(
+        &self,
+        cube: &Cube,
+        set: ImplicitCover,
+        memo: &mut FxMap<u32, bool>,
+    ) -> bool {
         debug_assert_eq!(cube.width(), self.width);
-        let mut memo: HashMap<u32, bool> = HashMap::new();
-        self.cube_intersects_rec(cube, set.0, &mut memo)
+        memo.clear();
+        self.cube_intersects_rec(cube, set.0, memo)
     }
 
-    fn cube_intersects_rec(&self, cube: &Cube, n: u32, memo: &mut HashMap<u32, bool>) -> bool {
+    fn cube_intersects_rec(&self, cube: &Cube, n: u32, memo: &mut FxMap<u32, bool>) -> bool {
         if n == EMPTY {
             return false;
         }
@@ -414,12 +414,12 @@ impl ImplicitPool {
 
     /// Number of points in the set, saturating at `u128::MAX`.
     pub fn count(&self, set: ImplicitCover) -> u128 {
-        let mut memo: HashMap<u32, u128> = HashMap::new();
+        let mut memo = FxMap::default();
         let c = self.count_rec(set.0, &mut memo);
         shl_sat(c, self.var_of(set.0))
     }
 
-    fn count_rec(&self, n: u32, memo: &mut HashMap<u32, u128>) -> u128 {
+    fn count_rec(&self, n: u32, memo: &mut FxMap<u32, u128>) -> u128 {
         if n == EMPTY {
             return 0;
         }
@@ -444,7 +444,7 @@ impl ImplicitPool {
         if set.0 <= FULL {
             return 0;
         }
-        let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        let mut seen = FxSet::default();
         seen.insert(set.0);
         let mut stack = vec![set.0];
         while let Some(n) = stack.pop() {
@@ -497,7 +497,7 @@ impl ImplicitPool {
         if set.0 == FULL {
             // Every variable is free.
         } else {
-            let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
+            let mut seen = FxSet::default();
             seen.insert(set.0);
             let mut stack = vec![set.0];
             // In a canonical diagram every non-empty child edge lies on an
@@ -606,8 +606,49 @@ fn shl_sat(x: u128, k: u32) -> u128 {
     }
 }
 
+/// The number of rows at the front of a canonically sorted run that have
+/// `var` clear. The run's rows agree on every earlier variable, so those
+/// rows come first: checking both ends settles the common one-sided run,
+/// and a binary search the rest.
+fn split_run(rows: &[u64], blocks: usize, var: usize) -> usize {
+    let (b, m) = (var / 64, 1u64 << (var % 64));
+    let clear = |row: usize| rows[row * blocks + b] & m == 0;
+    let n = rows.len() / blocks;
+    if !clear(0) {
+        return 0;
+    }
+    if clear(n - 1) {
+        return n;
+    }
+    // `clear(lo - 1)` and `!clear(hi)` hold throughout.
+    let (mut lo, mut hi) = (1, n - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if clear(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The canonical order of packed minterm rows (the [`MintermList`] layout):
+/// variable 0 decides first, and 0 sorts before 1 — the order of
+/// [`Cube::cmp_canonical`] on the same minterms. Rows that reach
+/// [`ImplicitPool::from_minterms`] in this order are built without sorting.
+pub fn cmp_minterm_rows(a: &[u64], b: &[u64]) -> Ordering {
+    // Variable `i` sits at bit `i % 64` of block `i / 64`: reversing each
+    // block's bits moves its first variable to the most significant place.
+    a.iter()
+        .map(|w| w.reverse_bits())
+        .cmp(b.iter().map(|w| w.reverse_bits()))
+}
+
 /// A flat batch of complete minterms (one row of packed bit blocks per
-/// point) feeding [`ImplicitPool::from_minterms`].
+/// point) feeding [`ImplicitPool::from_minterms`]. Rows may come in any
+/// order; rows pushed in canonical order ([`cmp_minterm_rows`]) build
+/// fastest.
 #[derive(Debug, Clone)]
 pub struct MintermList {
     width: usize,
@@ -662,6 +703,41 @@ impl MintermList {
         assert_eq!(row.len(), self.blocks, "block count mismatch");
         self.data.extend_from_slice(row);
     }
+
+    /// Puts the rows in canonical order: one linear pass when they already
+    /// are, a sort otherwise.
+    fn sort(&mut self) {
+        let rows = || self.data.chunks_exact(self.blocks);
+        if rows()
+            .zip(rows().skip(1))
+            .all(|(a, b)| cmp_minterm_rows(a, b) != Ordering::Greater)
+        {
+            return;
+        }
+        let mut sorted: Vec<&[u64]> = rows().collect();
+        sorted.sort_unstable_by(|a, b| cmp_minterm_rows(a, b));
+        self.data = sorted.concat();
+    }
+}
+
+/// Raises `cube`'s literals in variable order, keeping each raise that
+/// still misses the off-set; `memo` is the probes' shared scratch map.
+fn raise_against(
+    pool: &ImplicitPool,
+    cube: &mut Cube,
+    off: ImplicitCover,
+    memo: &mut FxMap<u32, bool>,
+) {
+    for v in 0..pool.width() {
+        let saved = cube.get(v);
+        if saved == Literal::DontCare {
+            continue;
+        }
+        cube.set(v, Literal::DontCare);
+        if pool.cube_intersects(cube, off, memo) {
+            cube.set(v, saved);
+        }
+    }
 }
 
 /// EXPAND seeded from the implicit on-set: emits exactly the primes the
@@ -670,21 +746,12 @@ impl MintermList {
 /// raised in variable order against the off-set, with the same absorption
 /// bookkeeping.
 fn expand_implicit(pool: &mut ImplicitPool, on: ImplicitCover, off: ImplicitCover) -> Cover {
-    let width = pool.width();
+    let mut memo = FxMap::default();
     let mut result: Vec<Cube> = Vec::new();
     let mut remaining = on;
     while let Some(bits) = pool.first_minterm(remaining) {
         let mut cube = Cube::minterm(bits);
-        for v in 0..width {
-            let saved = cube.get(v);
-            if saved == Literal::DontCare {
-                continue;
-            }
-            cube.set(v, Literal::DontCare);
-            if pool.cube_intersects(&cube, off) {
-                cube.set(v, saved);
-            }
-        }
+        raise_against(pool, &mut cube, off, &mut memo);
         let covered = pool.cube_set(&cube);
         remaining = pool.diff(remaining, covered);
         if !result.iter().any(|r| r.contains(&cube)) {
@@ -701,7 +768,7 @@ fn expand_implicit(pool: &mut ImplicitPool, on: ImplicitCover, off: ImplicitCove
 /// cover: a raise is legal iff the raised cube still misses the off-set as
 /// a point set.
 fn expand_cover_implicit(pool: &mut ImplicitPool, f: &mut Cover, off: ImplicitCover) {
-    let width = f.width();
+    let mut memo = FxMap::default();
     let mut cubes: Vec<Cube> = f.cubes().to_vec();
     cubes.sort_by_key(|c| c.literal_count());
     let mut result: Vec<Cube> = Vec::with_capacity(cubes.len());
@@ -709,16 +776,7 @@ fn expand_cover_implicit(pool: &mut ImplicitPool, f: &mut Cover, off: ImplicitCo
         if result.iter().any(|r| r.contains(&cube)) {
             continue;
         }
-        for v in 0..width {
-            let saved = cube.get(v);
-            if saved == Literal::DontCare {
-                continue;
-            }
-            cube.set(v, Literal::DontCare);
-            if pool.cube_intersects(&cube, off) {
-                cube.set(v, saved);
-            }
-        }
+        raise_against(pool, &mut cube, off, &mut memo);
         if !result.iter().any(|r| r.contains(&cube)) {
             result.retain(|r| !cube.contains(r));
             result.push(cube);
@@ -727,26 +785,38 @@ fn expand_cover_implicit(pool: &mut ImplicitPool, f: &mut Cover, off: ImplicitCo
     *f = result.into_iter().collect();
 }
 
+/// `after[p]` is the union of `sets[p..]`; `after[sets.len()]` is empty.
+fn suffix_unions(pool: &mut ImplicitPool, sets: &[ImplicitCover]) -> Vec<ImplicitCover> {
+    let mut after = vec![pool.empty(); sets.len() + 1];
+    for p in (0..sets.len()).rev() {
+        after[p] = pool.union(sets[p], after[p + 1]);
+    }
+    after
+}
+
 /// IRREDUNDANT against the implicit on-set: a cube is removable iff the
 /// on-points inside it stay covered by the remaining cubes — the emptiness
 /// of one implicit difference. Removal order matches the explicit phase.
+/// At position `p` of that order the remaining cubes are the ones kept so
+/// far plus every cube after `p`, so the rest of the cover is one union of
+/// a running set and a precomputed suffix union.
 fn irredundant_implicit(pool: &mut ImplicitPool, f: &mut Cover, on: ImplicitCover) {
     let mut order: Vec<usize> = (0..f.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(f.cubes()[i].literal_count()));
+    let sets: Vec<ImplicitCover> = order
+        .iter()
+        .map(|&i| pool.cube_set(&f.cubes()[i]))
+        .collect();
+    let after = suffix_unions(pool, &sets);
     let mut removed = vec![false; f.len()];
-    for &i in &order {
-        removed[i] = true;
-        let target = pool.cube_set(&f.cubes()[i]);
-        let mut rest = pool.empty();
-        for (j, c) in f.cubes().iter().enumerate() {
-            if !removed[j] {
-                let cs = pool.cube_set(c);
-                rest = pool.union(rest, cs);
-            }
-        }
-        let obliged = pool.intersect(on, target);
-        if !pool.diff(obliged, rest).is_empty() {
-            removed[i] = false;
+    let mut kept = pool.empty();
+    for (p, &i) in order.iter().enumerate() {
+        let rest = pool.union(kept, after[p + 1]);
+        let obliged = pool.intersect(on, sets[p]);
+        if pool.diff(obliged, rest).is_empty() {
+            removed[i] = true;
+        } else {
+            kept = pool.union(kept, sets[p]);
         }
     }
     *f = f
@@ -760,21 +830,20 @@ fn irredundant_implicit(pool: &mut ImplicitPool, f: &mut Cover, on: ImplicitCove
 
 /// REDUCE against the implicit on-set: each cube shrinks onto the supercube
 /// of the on-points inside it left uncovered by the rest of the cover —
-/// the same landing spot as the explicit residue-supercube REDUCE.
+/// the same landing spot as the explicit residue-supercube REDUCE. The rest
+/// of the cover at cube `i` is the cubes already reduced plus the original
+/// cubes after `i`: one union of a running set and a precomputed suffix
+/// union.
 fn reduce_implicit(pool: &mut ImplicitPool, f: &mut Cover, on: ImplicitCover) {
     let width = f.width();
     let mut cubes: Vec<Cube> = f.cubes().to_vec();
+    let sets: Vec<ImplicitCover> = cubes.iter().map(|c| pool.cube_set(c)).collect();
+    let after = suffix_unions(pool, &sets);
+    let mut reduced = pool.empty();
     for i in 0..cubes.len() {
         let entry = cubes[i].clone();
-        let entry_set = pool.cube_set(&entry);
-        let mut rest = pool.empty();
-        for (j, c) in cubes.iter().enumerate() {
-            if j != i {
-                let cs = pool.cube_set(c);
-                rest = pool.union(rest, cs);
-            }
-        }
-        let obliged = pool.intersect(on, entry_set);
+        let rest = pool.union(reduced, after[i + 1]);
+        let obliged = pool.intersect(on, sets[i]);
         let residue = pool.diff(obliged, rest);
         cubes[i] = match pool.supercube(residue) {
             // No residue: the rest already covers every obligation; the
@@ -792,6 +861,8 @@ fn reduce_implicit(pool: &mut ImplicitPool, f: &mut Cover, on: ImplicitCover) {
             // The residue sticks out: no shrink is valid.
             Some(_) => entry,
         };
+        let landed = pool.cube_set(&cubes[i]);
+        reduced = pool.union(reduced, landed);
     }
     *f = cubes.into_iter().collect();
 }
@@ -1000,21 +1071,80 @@ mod tests {
 
     #[test]
     fn from_minterms_equals_per_point_union() {
-        let mut list = MintermList::new(4);
-        let points = [0b0000u32, 0b1010, 0b0110, 0b1111, 0b1010];
-        for &p in &points {
-            list.push((0..4).map(|i| (p >> i) & 1 == 1));
+        // Rows come scrambled and repeated, then canonically sorted. Width
+        // 70 packs two blocks per row: points come in groups of four that
+        // share variables 0..64 and differ only in the second block, so a
+        // sort key that mishandled the second block would pass a mis-sorted
+        // run to the builder. At width 5 every bit varies and 40 draws
+        // from 32 points repeat some.
+        let hash = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29) ^ k;
+        for width in [5usize, 70] {
+            let point = |k: u64| -> Vec<bool> {
+                (0..width)
+                    .map(|i| {
+                        let word = if i + 6 < width { hash(k / 4) } else { hash(k) };
+                        (word >> (i % 64)) & 1 == 1
+                    })
+                    .collect()
+            };
+            let n = 40u64;
+            let pushes: Vec<u64> = (0..n).map(|k| k * 7 % n).chain((0..10).rev()).collect();
+            let mut pool = ImplicitPool::new(width);
+            let mut one_by_one = pool.empty();
+            let mut list = MintermList::new(width);
+            for &k in &pushes {
+                let m = Cube::minterm(point(k));
+                let ms = pool.cube_set(&m);
+                one_by_one = pool.union(one_by_one, ms);
+                list.push(point(k));
+            }
+            let bulk = pool.from_minterms(&mut list);
+            assert_eq!(bulk, one_by_one, "width {width}");
+            let mut points: Vec<Cube> = pushes.iter().map(|&k| Cube::minterm(point(k))).collect();
+            points.sort_by(Cube::cmp_canonical);
+            let mut sorted = MintermList::new(width);
+            for c in &points {
+                sorted.push((0..width).map(|v| c.get(v) == Literal::One));
+            }
+            assert_eq!(pool.from_minterms(&mut sorted), one_by_one, "width {width}");
+            points.dedup();
+            assert_eq!(
+                pool.count(bulk),
+                points.len() as u128,
+                "duplicate rows collapse"
+            );
         }
-        let mut pool = ImplicitPool::new(4);
-        let bulk = pool.from_minterms(&mut list);
-        let mut one_by_one = pool.empty();
-        for &p in &points {
-            let m = Cube::minterm((0..4).map(|i| (p >> i) & 1 == 1));
-            let ms = pool.cube_set(&m);
-            one_by_one = pool.union(one_by_one, ms);
+    }
+
+    #[test]
+    fn cmp_minterm_rows_matches_canonical_cube_order() {
+        let hash = |k: u64| k.wrapping_mul(0xD6E8_FEB8_6659_FD93).rotate_left(17) ^ k;
+        let width = 70;
+        let pack = |c: &Cube| -> Vec<u64> {
+            let mut row = vec![0u64; 2];
+            for v in 0..width {
+                if c.get(v) == Literal::One {
+                    row[v / 64] |= 1 << (v % 64);
+                }
+            }
+            row
+        };
+        // Groups of three share the first block and differ in the second.
+        let cubes: Vec<Cube> = (0..12u64)
+            .map(|k| {
+                let word = |i: usize| if i < 64 { hash(k / 3) } else { hash(k) };
+                Cube::minterm((0..width).map(|i| (word(i) >> (i % 64)) & 1 == 1))
+            })
+            .collect();
+        for a in &cubes {
+            for b in &cubes {
+                assert_eq!(
+                    cmp_minterm_rows(&pack(a), &pack(b)),
+                    a.cmp_canonical(b),
+                    "{a} vs {b}"
+                );
+            }
         }
-        assert_eq!(bulk, one_by_one);
-        assert_eq!(pool.count(bulk), 4, "duplicate rows collapse");
     }
 
     #[test]
@@ -1130,6 +1260,61 @@ mod tests {
                 explicit.cubes(),
                 "seed {seed}: {implicit} vs {explicit}"
             );
+        }
+    }
+
+    #[test]
+    fn running_union_phases_match_the_explicit_phases() {
+        // IRREDUNDANT and REDUCE decide each cube against a running union of
+        // the rest of the cover; pin every decision against the explicit
+        // phases, which rebuild the rest per cube. The covers are expanded
+        // primes plus random off-set-free cubes, so IRREDUNDANT has
+        // redundancy to remove and REDUCE many overlapping cubes to shrink.
+        use crate::espresso::{expand, irredundant, reduce};
+        let width = 7usize;
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..150 {
+            let seed = next();
+            let mut on = Cover::empty(width);
+            let mut off = Cover::empty(width);
+            for x in 0..(1u32 << width) {
+                let bits: Vec<bool> = (0..width).map(|i| (x >> i) & 1 == 1).collect();
+                match (seed >> (x as usize % 61)) & 0b11 {
+                    0 | 1 => on.push(Cube::minterm(bits)),
+                    2 => off.push(Cube::minterm(bits)),
+                    _ => {}
+                }
+            }
+            if on.is_empty() {
+                continue;
+            }
+            let mut f = on.clone();
+            expand(&mut f, &off);
+            for _ in 0..12 {
+                let word = next();
+                let cube: String = (0..width)
+                    .map(|v| ['0', '1', '-', '-'][(word >> (2 * v)) as usize & 3])
+                    .collect();
+                let cube = Cube::from_str_cube(&cube);
+                if !off.cubes().iter().any(|o| o.intersects(&cube)) {
+                    f.push(cube);
+                }
+            }
+            let mut pool = ImplicitPool::new(width);
+            let on_set = pool.cover_set(&on);
+            let mut implicit = f.clone();
+            irredundant_implicit(&mut pool, &mut implicit, on_set);
+            irredundant(&mut f, &on);
+            assert_eq!(implicit.cubes(), f.cubes(), "IRREDUNDANT, seed {seed:#x}");
+            reduce_implicit(&mut pool, &mut implicit, on_set);
+            reduce(&mut f, &on);
+            assert_eq!(implicit.cubes(), f.cubes(), "REDUCE, seed {seed:#x}");
         }
     }
 

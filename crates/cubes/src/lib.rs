@@ -27,6 +27,7 @@
 mod cover;
 mod cube;
 mod espresso;
+pub mod fx;
 pub mod implicit;
 pub mod par;
 mod qm;

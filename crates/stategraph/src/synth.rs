@@ -13,7 +13,9 @@
 //! explicit minterm covers of [`on_off_sets`] (pinned by the equivalence
 //! tests).
 
-use si_cubes::implicit::{ImplicitCover, ImplicitPool, MintermList};
+use std::sync::OnceLock;
+
+use si_cubes::implicit::{cmp_minterm_rows, ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::par::par_map;
 use si_cubes::{minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget};
 use si_stg::{Polarity, SignalId, SignalTransition, Stg};
@@ -167,10 +169,13 @@ impl ImplicitOnOffSets {
 /// computed in one sweep over the SG instead of once per signal.
 ///
 /// Build it once with [`SgClassification::new`] when deriving sets for
-/// several signals of the same SG (one `O(states × signals)` sweep total);
-/// [`on_off_sets_implicit`] is the one-signal convenience wrapper. A
-/// traversal that enumerates the reachable states without building the SG
-/// fills one with [`push`](SgClassification::push) instead.
+/// several signals of the same SG: one sweep over the states and their arcs
+/// records the rows, and the first set derivation sorts the states by code,
+/// once. Each signal's sets then cost one pass over the sorted states plus
+/// the diagram nodes they build. [`on_off_sets_implicit`] is the one-signal
+/// convenience wrapper. A traversal that enumerates the reachable states
+/// without building the SG fills one with
+/// [`push`](SgClassification::push) instead, in any order.
 pub struct SgClassification {
     width: usize,
     blocks: usize,
@@ -181,6 +186,12 @@ pub struct SgClassification {
     rise: Vec<u64>,
     /// Per state: signals with an excited falling change.
     fall: Vec<u64>,
+    /// The states in canonical code order ([`cmp_minterm_rows`]), sorted
+    /// on first use, so every signal's on/off rows reach
+    /// [`ImplicitPool::from_minterms`] already in the order it builds from.
+    /// A lock rather than a cell, because the unfolding flow derives its
+    /// signals' sets from one classification on several workers.
+    order: OnceLock<Vec<usize>>,
 }
 
 impl SgClassification {
@@ -201,6 +212,7 @@ impl SgClassification {
             codes: Vec::new(),
             rise: Vec::new(),
             fall: Vec::new(),
+            order: OnceLock::new(),
         }
     }
 
@@ -225,6 +237,7 @@ impl SgClassification {
             table.resize(table.len() + self.blocks - words, 0);
         }
         self.states += 1;
+        self.order.take();
     }
 
     /// Number of classified states.
@@ -251,7 +264,9 @@ impl SgClassification {
     /// Builds `signal`'s implicit on/off sets into a caller-held pool —
     /// the batch form of [`on_off_sets`](Self::on_off_sets): states
     /// shared between signals collapse into diagram structure **once**
-    /// across the whole batch instead of being rebuilt per signal.
+    /// across the whole batch instead of being rebuilt per signal. Each
+    /// side's rows stream into [`ImplicitPool::from_minterms`] in the
+    /// classification's canonical code order, so the builder never sorts.
     pub fn sets_into(
         &self,
         pool: &mut ImplicitPool,
@@ -260,7 +275,7 @@ impl SgClassification {
         let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
         let mut on_list = MintermList::new(self.width);
         let mut off_list = MintermList::new(self.width);
-        for s in 0..self.states {
+        for &s in self.order() {
             let base = s * self.blocks;
             let row = &self.codes[base..base + self.blocks];
             let implied = if self.rise[base + b] & m != 0 {
@@ -290,11 +305,8 @@ impl SgClassification {
         let mut fall = vec![0u64; states * blocks];
         for s in 0..states {
             let base = s * blocks;
-            for (sig, v) in sg.code(s).iter() {
-                if v {
-                    codes[base + sig.index() / 64] |= 1u64 << (sig.index() % 64);
-                }
-            }
+            let words = sg.code(s).words();
+            codes[base..base + words.len()].copy_from_slice(words);
             for &(t, _) in sg.successors(s) {
                 if let Some(SignalTransition { signal, polarity }) = stg.label(t) {
                     let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
@@ -312,7 +324,25 @@ impl SgClassification {
             codes,
             rise,
             fall,
+            order: OnceLock::new(),
         }
+    }
+
+    /// The states in canonical code order, sorted on the first call.
+    fn order(&self) -> &[usize] {
+        self.order.get_or_init(|| {
+            let code = |s: usize| &self.codes[s * self.blocks..(s + 1) * self.blocks];
+            // The first block's bit-reversed word leads the canonical order
+            // and settles almost every comparison without an indirection.
+            let mut keyed: Vec<(u64, usize)> = (0..self.states)
+                .map(|s| (code(s)[0].reverse_bits(), s))
+                .collect();
+            keyed.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| cmp_minterm_rows(code(a.1), code(b.1)))
+            });
+            keyed.into_iter().map(|(_, s)| s).collect()
+        })
     }
 
     /// Builds the implicit on/off sets of one signal: every state's code
@@ -841,6 +871,56 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn pushed_rows_in_any_order_give_the_per_state_sets() {
+        // 70 signals: two words per row. States come in groups of four
+        // that share the first word of their code and differ only in the
+        // second, pushed out of canonical order, so the classification's
+        // sort has to order the second word within each group.
+        let width = 70;
+        let hash = |k: u64| k.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23) ^ k;
+        let n = 48u64;
+        let rows: Vec<[[u64; 2]; 3]> = (0..n)
+            .map(|k| k * 11 % n)
+            .map(|k| {
+                let code = [hash(k / 4), hash(k) & 0x3f];
+                let rise = [hash(k + n), hash(k + n) & 0x3f];
+                let fall = [
+                    hash(k + 2 * n) & !rise[0],
+                    hash(k + 2 * n) & 0x3f & !rise[1],
+                ];
+                [code, rise, fall]
+            })
+            .collect();
+        let mut class = SgClassification::with_width(width);
+        for [code, rise, fall] in &rows {
+            class.push(code, rise, fall);
+        }
+        let mut pool = ImplicitPool::new(width);
+        for signal in [0, 1, 31, 63, 64, 65, 69].map(SignalId) {
+            let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
+            let (mut on, mut off) = (pool.empty(), pool.empty());
+            for [code, rise, fall] in &rows {
+                let implied = rise[b] & m != 0 || (fall[b] & m == 0 && code[b] & m != 0);
+                let point = pool.cube_set(&Cube::minterm(
+                    (0..width).map(|i| code[i / 64] >> (i % 64) & 1 == 1),
+                ));
+                if implied {
+                    on = pool.union(on, point);
+                } else {
+                    off = pool.union(off, point);
+                }
+            }
+            assert_eq!(class.sets_into(&mut pool, signal), (on, off), "{signal:?}");
+        }
+        // The rows reach the builder canonically ordered, so it never sorts.
+        let code = |s: usize| &class.codes[2 * s..2 * s + 2];
+        assert!(class
+            .order()
+            .windows(2)
+            .all(|w| cmp_minterm_rows(code(w[0]), code(w[1])).is_le()));
     }
 
     #[test]

@@ -24,6 +24,8 @@ use si_synth::cubes::{
     minimize, minimize_exact, minimize_exact_implicit, minimize_implicit, Cover, Cube, Literal,
     QmBudget,
 };
+use si_synth::stategraph::{on_off_sets, StateGraph};
+use si_synth::stg::generators::{counterflow_pipeline, parallelizer, token_ring};
 
 /// Strategy: a random cube over `width` variables as a `{0,1,-}` string.
 fn cube_strategy(width: usize) -> impl Strategy<Value = Cube> {
@@ -359,6 +361,38 @@ fn wide_contains_cube_agrees_with_narrow() {
                 f_wide.contains_cube(&widen(t)),
                 f_narrow.contains_cube(&Cube::from_str_cube(t)),
                 "cover {f_narrow} target {t}"
+            );
+        }
+    }
+}
+
+/// The random partitions above stop at six variables. IRREDUNDANT and
+/// REDUCE build each cube's "rest of the cover" from running unions, and
+/// only covers of many cubes can tell those apart from rebuilding the rest
+/// per cube. So pin the implicit minimiser against the explicit one on the
+/// state-graph on/off sets of real specifications, every implementable
+/// signal, up to `token_ring(12)`'s gates of 44 cubes.
+#[test]
+fn minimize_implicit_matches_explicit_at_sg_size() {
+    for stg in [
+        token_ring(10),
+        token_ring(12),
+        parallelizer(5),
+        counterflow_pipeline(4),
+    ] {
+        let sg = StateGraph::build(&stg, 100_000).expect("state graph builds");
+        for signal in stg.implementable_signals() {
+            let sets = on_off_sets(&stg, &sg, signal);
+            let mut pool = ImplicitPool::new(stg.signal_count());
+            let on = pool.cover_set(&sets.on);
+            let off = pool.cover_set(&sets.off);
+            let implicit = minimize_implicit(&mut pool, on, off);
+            let explicit = minimize(&sets.on, &sets.off);
+            assert!(
+                covers_equal(&implicit, &explicit),
+                "{} {}: {implicit} vs {explicit}",
+                stg.name(),
+                stg.signal_name(signal)
             );
         }
     }
