@@ -1,4 +1,4 @@
-//! Ablation B (see `DESIGN.md`): the paper's central design choice —
+//! Ablation B: the paper's central design choice —
 //! approximate covers refined on demand versus exact enumeration of every
 //! reachable cut (one walk over the segment). Reports time and literal
 //! count for both modes over the suite and over workloads with growing

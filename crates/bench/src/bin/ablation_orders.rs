@@ -1,4 +1,4 @@
-//! Ablation A (see `DESIGN.md`): segment size and construction time under
+//! Ablation A: segment size and construction time under
 //! McMillan's original cutoff order versus the finer ERV-style
 //! size-lexicographic order.
 //!

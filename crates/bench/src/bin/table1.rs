@@ -66,7 +66,7 @@ fn main() {
     );
     println!(
         "\nShape check vs the paper: literal counts match the SG-exact baseline \
-         on {}/{} benchmarks; see EXPERIMENTS.md.",
+         on {}/{} benchmarks; README, \"The unfolding flow\", says why they can differ.",
         totals.matching, totals.rows
     );
 }

@@ -37,9 +37,13 @@ pub struct CoverAtom {
     pub exact: bool,
 }
 
-/// Builds the initial cover approximation of one side (the union of all its
-/// atoms covers the side's states; see `DESIGN.md` for the soundness
-/// argument).
+/// Builds the initial cover approximation of one side. Under CSC the union
+/// of its atoms covers the side's states (§4.2): a slice state where the
+/// entry has not fired lies in the entry's excitation region, which the ER
+/// atom covers, and one where it has marks a condition of the approximation
+/// set, whose MR atom covers it. The MR atoms leave out only states where
+/// an opposite change of the signal is enabled, which belong to the other
+/// side.
 pub fn approximate_side(stg: &Stg, unf: &StgUnfolding, slices: &[Slice]) -> Vec<CoverAtom> {
     let width = unf.signal_count();
     let mut atoms = Vec::new();
@@ -210,9 +214,9 @@ mod tests {
 
     #[test]
     fn fig1_approximation_intersects_and_needs_refinement() {
-        // As analysed in DESIGN.md: the off-⊥-slice MR cube of p3 is {100},
-        // which is an on-state, so the raw approximations of `b` intersect —
-        // exactly the situation the refinement loop exists for.
+        // The off-⊥-slice MR cube of p3 is {100}, which is an on-state, so
+        // the raw approximations of `b` intersect — exactly the situation
+        // the refinement loop exists for.
         let stg = paper_fig1();
         let unf = build(&stg);
         let sb = stg.signal_by_name("b").expect("b");

@@ -2,18 +2,20 @@
 //! adaptations (§2.1, §6): *standard C-element* and *RS-latch*
 //! implementations, where the complex gate computes Set/Reset excitation
 //! functions instead of the full next-state function.
-
-use std::collections::HashSet;
+//!
+//! They run on exact mode's one walk over the segment
+//! ([`classify_reachable`]), which records every state's code and excited
+//! changes: each signal's on- and off-sets and its excitation regions are
+//! point sets of that one classification, minimised implicitly.
 
 use si_cubes::implicit::ImplicitPool;
-use si_cubes::{minimize, Cover};
-use si_stg::{BinaryCode, SignalId, Stg};
+use si_cubes::{minimize_implicit, Cover};
+use si_stg::{SignalId, Stg};
 use si_unfolding::{StgUnfolding, UnfoldingOptions};
 
-use crate::covers::code_to_cube;
 use crate::error::SynthesisError;
-use crate::exact::{classify_reachable, excitation_codes};
-use crate::slice::{side_slices, Slice};
+use crate::exact::classify_reachable;
+use crate::synth::{implementable_signals, require_csc, require_persistency};
 
 /// The memory element guarding an excitation-function implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,18 +68,20 @@ impl ExcitationImplementation {
 }
 
 /// Synthesises Set/Reset excitation functions for every implementable
-/// signal. The on- and off-sets come from exact mode's one walk over the
-/// segment ([`classify_reachable`]); the excitation regions from exact
-/// enumeration of each slice's excited part (ERs are small even when
-/// quiescent regions explode).
+/// signal. The on- and off-sets and the excitation regions `ER(+a)` and
+/// `ER(-a)` all come from exact mode's one walk over the segment
+/// ([`classify_reachable`]).
 ///
 /// # Errors
 ///
-/// Propagates unfolding and enumeration errors: `slice_budget` bounds the
-/// walk and each excitation-region traversal. Reports
+/// In the order of [`crate::synthesize_from_unfolding`]: propagates
+/// unfolding errors, reports [`SynthesisError::NotPersistent`] if
+/// semi-modularity fails on the segment and
 /// [`SynthesisError::ConstantSignal`] for an implementable signal without
-/// transitions before walking, and [`SynthesisError::CscViolation`] when a
-/// signal's on- and off-sets overlap in code space.
+/// transitions, both before walking. `slice_budget` bounds the walk
+/// ([`SynthesisError::SliceBudgetExceeded`]). Reports
+/// [`SynthesisError::CscViolation`] when a signal's on- and off-sets share
+/// a code.
 pub fn synthesize_excitation_functions(
     stg: &Stg,
     element: MemoryElement,
@@ -85,50 +89,29 @@ pub fn synthesize_excitation_functions(
     slice_budget: usize,
 ) -> Result<Vec<ExcitationImplementation>, SynthesisError> {
     let unf = StgUnfolding::build(stg, unfolding)?;
-    let signals = stg.implementable_signals();
-    for &signal in &signals {
-        if stg.transitions_of(signal).is_empty() {
-            return Err(SynthesisError::ConstantSignal {
-                signal: stg.signal_name(signal).to_owned(),
-            });
-        }
-    }
+    require_persistency(stg, &unf)?;
+    let signals = implementable_signals(stg)?;
     let states = classify_reachable(stg, &unf, slice_budget)?;
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(signals.len());
     for signal in signals {
-        let on_slices = side_slices(&unf, signal, true);
-        let off_slices = side_slices(&unf, signal, false);
-
-        // ER(+a) = excitation parts of the on-slices (where +a is pending);
-        // ER(-a) symmetric.
-        let er_on = excitation_cover(&unf, &on_slices, slice_budget)?;
-        let er_off = excitation_cover(&unf, &off_slices, slice_budget)?;
-        let mut pool = ImplicitPool::new(unf.signal_count());
+        let mut pool = ImplicitPool::new(stg.signal_count());
         let (on, off) = states.sets_into(&mut pool, signal);
-        let (on, off) = (pool.minterms_cover(on), pool.minterms_cover(off));
-        if on.intersects(&off) {
-            let witness = on
-                .intersect(&off)
-                .cubes()
-                .first()
-                .map(ToString::to_string)
-                .unwrap_or_default();
-            return Err(SynthesisError::CscViolation {
-                signal: stg.signal_name(signal).to_owned(),
-                witness,
-            });
-        }
-
+        require_csc(stg, &mut pool, signal, on, off)?;
+        let (er_on, er_off) = states.excitation_sets_into(&mut pool, signal);
         // Set must hit every ER(+a) state and no off-set state; it may
         // stretch over the rest of the on-set (where the latch holds 1
         // anyway) and unreachable codes.
-        let set = minimize(&er_on, &off);
+        let set = minimize_implicit(&mut pool, er_on, off);
         // Reset symmetric; for an RS latch additionally keep Reset clear of
         // the (possibly expanded) Set function so both are never 1.
-        let reset = match element {
-            MemoryElement::MullerC => minimize(&er_off, &on),
-            MemoryElement::RsLatch => minimize(&er_off, &on.union(&set)),
+        let reset_off = match element {
+            MemoryElement::MullerC => on,
+            MemoryElement::RsLatch => {
+                let set_points = pool.cover_set(&set);
+                pool.union(on, set_points)
+            }
         };
+        let reset = minimize_implicit(&mut pool, er_off, reset_off);
         out.push(ExcitationImplementation {
             signal,
             element,
@@ -139,33 +122,15 @@ pub fn synthesize_excitation_functions(
     Ok(out)
 }
 
-/// The minterm cover of the excitation codes of `slices`: one cube per
-/// distinct code, in first-occurrence order.
-fn excitation_cover(
-    unf: &StgUnfolding,
-    slices: &[Slice],
-    slice_budget: usize,
-) -> Result<Cover, SynthesisError> {
-    let mut cover = Cover::empty(unf.signal_count());
-    let mut seen: HashSet<BinaryCode> = HashSet::new();
-    for s in slices {
-        for code in excitation_codes(unf, s, slice_budget)? {
-            if !seen.contains(&code) {
-                cover.push(code_to_cube(&code));
-                seen.insert(code);
-            }
-        }
-    }
-    Ok(cover)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use si_stategraph::StateGraph;
     use si_stg::generators::muller_pipeline;
-    use si_stg::suite::{paper_fig1, vme_read_csc};
+    use si_stg::suite::{paper_fig1, vme_read_csc, vme_read_no_csc};
     use si_stg::Polarity;
+
+    use crate::synth::tests::output_choice;
 
     fn check_excitation_contract(stg: &Stg, impls: &[ExcitationImplementation]) {
         // Oracle: on every reachable state, Set=1 iff the gate must drive
@@ -255,28 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn excitation_cover_equals_repeated_union() {
-        for stg in [paper_fig1(), vme_read_csc(), muller_pipeline(3)] {
-            let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
-            for signal in stg.implementable_signals() {
-                for value in [true, false] {
-                    let slices = side_slices(&unf, signal, value);
-                    // The reference: one single-cube union per code.
-                    let mut expected = Cover::empty(unf.signal_count());
-                    for s in &slices {
-                        for code in excitation_codes(&unf, s, 1_000_000).expect("small") {
-                            expected = expected.union(&[code_to_cube(&code)].into_iter().collect());
-                        }
-                    }
-                    let got = excitation_cover(&unf, &slices, 1_000_000).expect("small");
-                    assert_eq!(got, expected, "{} signal {signal}", stg.name());
-                    assert_eq!(got.width(), expected.width());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn set_reset_usually_cheaper_than_complex_gate() {
         // The point of the architecture: per-function gates are smaller.
         let stg = muller_pipeline(3);
@@ -290,6 +233,43 @@ mod tests {
         for imp in &impls {
             assert!(imp.set.literal_count() <= 4, "set too big");
             assert!(imp.reset.literal_count() <= 4, "reset too big");
+        }
+    }
+
+    #[test]
+    fn csc_conflict_reported_with_the_complex_gate_witness() {
+        let stg = vme_read_no_csc();
+        for element in [MemoryElement::MullerC, MemoryElement::RsLatch] {
+            let err = synthesize_excitation_functions(
+                &stg,
+                element,
+                &UnfoldingOptions::default(),
+                1_000_000,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, SynthesisError::CscViolation { signal, witness }
+                    if signal == "lds" && witness == "11100"),
+                "{element:?}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn persistency_violation_reported() {
+        let stg = output_choice();
+        for element in [MemoryElement::MullerC, MemoryElement::RsLatch] {
+            let err = synthesize_excitation_functions(
+                &stg,
+                element,
+                &UnfoldingOptions::default(),
+                1_000_000,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(&err, SynthesisError::NotPersistent { signal } if signal == "x"),
+                "{element:?}: got {err:?}"
+            );
         }
     }
 }

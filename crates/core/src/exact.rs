@@ -8,10 +8,10 @@
 //!
 //! A signal's on- and off-slices together cover every reachable state, so
 //! exact mode classifies all states in one walk over the segment
-//! ([`classify_reachable`]) instead of enumerating each slice. The
-//! per-slice traversals remain for the callers that need one slice's codes:
-//! the refinement loop's exact fallback, the §6 membership probes and the
-//! excitation regions of the Set/Reset architectures.
+//! ([`classify_reachable`]) instead of enumerating each slice; the Set/Reset
+//! architectures ([`crate::arch`]) read their excitation regions from the
+//! same walk. The per-slice traversals serve only approximate mode: the
+//! refinement loop's exact fallback and the §6 membership probes.
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
@@ -330,69 +330,6 @@ enum Fire {
     UnlessEntryPending,
 }
 
-/// Enumerates only the excitation-region codes of a slice: the cuts at
-/// which the entry is enabled but has not fired. Used by the memory-element
-/// architectures (set/reset excitation functions).
-///
-/// Returns an empty list for a `⊥` entry (no excitation — the signal is
-/// stable from the start).
-///
-/// # Errors
-///
-/// Returns [`SynthesisError::SliceBudgetExceeded`] when the region reaches
-/// more than `budget` distinct markings (the bound of [`slice_codes`]).
-pub fn excitation_codes(
-    unf: &StgUnfolding,
-    slice: &Slice,
-    budget: usize,
-) -> Result<Vec<BinaryCode>, SynthesisError> {
-    if slice.entry.is_root() {
-        return Ok(Vec::new());
-    }
-    let rows = RowLayout::new(unf);
-    let mut code = unf.code(slice.entry).clone();
-    code.set(slice.signal, !slice.value);
-    let entry_preset = unf.preset(slice.entry);
-    // Fire only members concurrent to the entry that leave its preset
-    // intact (keeping it excited).
-    let mut fires = vec![false; unf.event_count()];
-    for f in slice.members.iter().map(|f| EventId(f as u32)) {
-        fires[f.index()] = f != slice.entry
-            && unf.events_co(slice.entry, f)
-            && !unf.preset(f).iter().any(|c| entry_preset.contains(c));
-    }
-
-    let mut row = rows.start(&slice.min_cut(unf), &code);
-    let mut next = row.clone();
-    let mut seen = SeenWords::default();
-    seen.insert(rows.marking(&row));
-    let mut queue: Vec<u64> = row.clone();
-    let mut codes = Vec::new();
-    let mut code_set = SeenWords::default();
-
-    while pop_row(&mut queue, &mut row) {
-        if seen.len() > budget {
-            return Err(SynthesisError::SliceBudgetExceeded { budget });
-        }
-        if code_set.insert(rows.code(&row)) {
-            rows.load_code(&row, &mut code);
-            codes.push(code.clone());
-        }
-        for b in rows.cut(&row) {
-            for &f in unf.consumers(b) {
-                if !fires[f.index()] || !unf.preset(f).iter().all(|&c| rows.in_cut(&row, c)) {
-                    continue;
-                }
-                rows.fire(unf, &row, f, &mut next);
-                if seen.insert(rows.marking(&next)) {
-                    queue.extend_from_slice(&next);
-                }
-            }
-        }
-    }
-    Ok(codes)
-}
-
 /// The packed form of a traversal state: one fixed-stride row of words
 /// holding the cut (a bit per condition), the marking it represents (a bit
 /// per place) and its binary code (in [`BinaryCode::words`] layout).
@@ -646,6 +583,7 @@ pub fn exact_side_cover(
 mod tests {
     use super::*;
     use crate::slice::side_slices;
+    use si_cubes::implicit::ImplicitPool;
     use si_stg::suite::paper_fig1;
     use si_stg::Stg;
     use si_unfolding::UnfoldingOptions;
@@ -699,24 +637,21 @@ mod tests {
     }
 
     #[test]
-    fn fig1_excitation_codes_of_b() {
+    fn fig1_excitation_regions_of_b() {
         let stg = paper_fig1();
         let unf = build(&stg);
         let sb = stg.signal_by_name("b").expect("b");
-        let slices = side_slices(&unf, sb, true);
-        let mut er: Vec<String> = Vec::new();
-        for s in &slices {
-            er.extend(
-                excitation_codes(&unf, s, 1000)
-                    .expect("small")
-                    .iter()
-                    .map(ToString::to_string),
-            );
-        }
-        er.sort();
+        let states = classify_reachable(&stg, &unf, 1000).expect("small");
+        let mut pool = ImplicitPool::new(stg.signal_count());
+        let (er_rise, er_fall) = states.excitation_sets_into(&mut pool, sb);
+        let codes = |set| -> Vec<String> {
+            let cover = pool.minterms_cover(set);
+            cover.cubes().iter().map(ToString::to_string).collect()
+        };
         // +b is excited at 001 (p4), and at 100/101 (p2 marked, +c''
-        // optionally fired).
-        assert_eq!(er, vec!["001", "100", "101"]);
+        // optionally fired); -b only at 010, the off-set code with b = 1.
+        assert_eq!(codes(er_rise), vec!["001", "100", "101"]);
+        assert_eq!(codes(er_fall), vec!["010"]);
     }
 
     #[test]

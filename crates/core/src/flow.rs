@@ -101,9 +101,10 @@ impl From<SynthesisError> for FlowError {
 /// A synthesis flow: one engine-agnostic synthesize/verify surface.
 ///
 /// `verify` is a provided method: correctness is defined by the oracle
-/// ([`verify_gate_functions`] — every gate output equals the implied
-/// value in every reachable state), not by the flow that produced the
-/// gates, so both flows share the implementation.
+/// (every gate output equals the implied value in every reachable state,
+/// the check [`verify_against_sg_with`](crate::verify_against_sg_with)
+/// runs), not by the flow that produced the gates, so both flows share the
+/// implementation.
 pub trait FlowEngine {
     /// Short flow name for reports (`"sg"` / `"unfolding"`).
     fn name(&self) -> &'static str;

@@ -237,10 +237,11 @@ fn refine_atom(unf: &StgUnfolding, slices: &[Slice], atom: &mut CoverAtom) -> bo
             unf.preset(slice.entry).to_vec()
         }
     };
-    // Soundness guard (see DESIGN.md): the refining set must be guaranteed
-    // to intersect every cut marking the anchors, which we can only prove
-    // when the net is token-preserving with more tokens than anchors.
-    // Otherwise skip straight to the exact fallback.
+    // Soundness guard: the refining set must be guaranteed to intersect
+    // every cut marking the anchors. In a token-preserving net with more
+    // tokens than anchors such a cut holds another condition, concurrent
+    // with every anchor; otherwise nothing guarantees it, so skip straight
+    // to the exact fallback.
     match cut_size_invariant(unf) {
         Some(tokens) if tokens > anchors.len() => {}
         _ => {

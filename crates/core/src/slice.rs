@@ -118,11 +118,6 @@ impl Slice {
         self.members.contains(e.index())
     }
 
-    /// Returns `true` if condition `b` belongs to the slice.
-    pub fn has_condition(&self, b: ConditionId) -> bool {
-        self.conditions.contains(b.index())
-    }
-
     /// The approximation set `P'_a`: conditions used to approximate the
     /// quiescent part of the slice. Tries the paper's compact choice first —
     /// a mutually non-concurrent "spine" — and falls back to *all*

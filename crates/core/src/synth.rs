@@ -52,16 +52,12 @@ pub struct SynthesisOptions {
     pub unfolding: UnfoldingOptions,
     /// Cover derivation mode.
     pub mode: CoverMode,
-    /// Maximum cube-level refinement steps per signal before escalating.
-    pub max_refinement_steps: usize,
     /// Budget for exact enumeration, in distinct markings reached
     /// (marking-equal cuts count once), checked each time a state is taken
     /// off its stack. In exact mode it bounds the one walk over the whole
     /// segment; in approximate mode it bounds each slice traversal of the
     /// exact fallbacks and §6 probes separately.
     pub slice_budget: usize,
-    /// Check semi-modularity on the segment before synthesising.
-    pub check_persistency: bool,
     /// Cover-correctness condition (strong intersection-freedom by default).
     pub correctness: CorrectnessCondition,
     /// Worker threads for the per-signal derive/minimise stages; `None`
@@ -75,9 +71,7 @@ impl Default for SynthesisOptions {
         SynthesisOptions {
             unfolding: UnfoldingOptions::default(),
             mode: CoverMode::Approximate,
-            max_refinement_steps: 200,
             slice_budget: 2_000_000,
-            check_persistency: true,
             correctness: CorrectnessCondition::Strong,
             workers: None,
         }
@@ -204,24 +198,9 @@ pub fn synthesize_from_unfolding(
     let unf = StgUnfolding::build(stg, &options.unfolding)?;
     let unfold = start.elapsed();
 
-    if options.check_persistency {
-        let violations = check_segment_persistency(stg, &unf);
-        if let Some(v) = violations.first() {
-            return Err(SynthesisError::NotPersistent {
-                signal: stg.signal_name(v.disabled_label.signal).to_owned(),
-            });
-        }
-    }
-
+    require_persistency(stg, &unf)?;
     let derive_start = Instant::now();
-    let signals = stg.implementable_signals();
-    for &signal in &signals {
-        if stg.transitions_of(signal).is_empty() {
-            return Err(SynthesisError::ConstantSignal {
-                signal: stg.signal_name(signal).to_owned(),
-            });
-        }
-    }
+    let signals = implementable_signals(stg)?;
     // Exact mode classifies every reachable state once, up front; each
     // signal's sets are then built from that shared classification.
     let (states, walk) = match options.mode {
@@ -298,6 +277,52 @@ pub fn synthesize_from_unfolding(
     })
 }
 
+/// Refinement steps per signal before the loop escalates the conflicting
+/// atoms to exact enumeration.
+const MAX_REFINEMENT_STEPS: usize = 200;
+
+/// Checks semi-modularity on the segment: the first violation is reported
+/// as [`SynthesisError::NotPersistent`] on the disabled signal.
+pub(crate) fn require_persistency(stg: &Stg, unf: &StgUnfolding) -> Result<(), SynthesisError> {
+    match check_segment_persistency(stg, unf).first() {
+        Some(v) => Err(SynthesisError::NotPersistent {
+            signal: stg.signal_name(v.disabled_label.signal).to_owned(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The implementable signals of `stg`, or [`SynthesisError::ConstantSignal`]
+/// for the first one without transitions.
+pub(crate) fn implementable_signals(stg: &Stg) -> Result<Vec<SignalId>, SynthesisError> {
+    let signals = stg.implementable_signals();
+    match signals.iter().find(|&&s| stg.transitions_of(s).is_empty()) {
+        Some(&signal) => Err(SynthesisError::ConstantSignal {
+            signal: stg.signal_name(signal).to_owned(),
+        }),
+        None => Ok(signals),
+    }
+}
+
+/// Fails with [`SynthesisError::CscViolation`] when `signal`'s on- and
+/// off-sets share a code, naming the canonically smallest shared code.
+pub(crate) fn require_csc(
+    stg: &Stg,
+    pool: &mut ImplicitPool,
+    signal: SignalId,
+    on: ImplicitCover,
+    off: ImplicitCover,
+) -> Result<(), SynthesisError> {
+    let shared = pool.intersect(on, off);
+    match pool.first_minterm(shared) {
+        Some(bits) => Err(SynthesisError::CscViolation {
+            signal: stg.signal_name(signal).to_owned(),
+            witness: Cube::minterm(bits).to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
 /// The per-signal output of the derivation stage, with the CPU time spent
 /// in its slice-building and refinement portions.
 struct DerivedCovers {
@@ -357,13 +382,7 @@ fn exact_covers(
     let mut pool = ImplicitPool::new(stg.signal_count());
     let (on, off) = states.sets_into(&mut pool, signal);
     let slices = sets_start.elapsed();
-    let shared = pool.intersect(on, off);
-    if let Some(bits) = pool.first_minterm(shared) {
-        return Err(SynthesisError::CscViolation {
-            signal: stg.signal_name(signal).to_owned(),
-            witness: Cube::minterm(bits).to_string(),
-        });
-    }
+    require_csc(stg, &mut pool, signal, on, off)?;
     // The public covers materialise as the diagram's canonical disjoint-cube
     // form — the same point sets as `exact_side_cover`'s minterm lists, but
     // sized by the implicit representation rather than the state count.
@@ -419,7 +438,7 @@ fn approximate_covers(
         &off_slices,
         &mut on_atoms,
         &mut off_atoms,
-        options.max_refinement_steps,
+        MAX_REFINEMENT_STEPS,
         options.slice_budget,
         &mut pool,
     )?;
@@ -479,7 +498,7 @@ fn csc_error(stg: &Stg, signal: SignalId, on: &Cover, off: &Cover) -> SynthesisE
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use si_stg::generators::{muller_pipeline, sequencer};
     use si_stg::suite::{
@@ -662,8 +681,9 @@ mod tests {
         assert!(matches!(err, SynthesisError::CscViolation { .. }));
     }
 
-    #[test]
-    fn persistency_violation_reported() {
+    /// Two outputs in free choice: firing either `+x` or `+y` disables the
+    /// other, so the spec is not persistent.
+    pub(crate) fn output_choice() -> Stg {
         use si_stg::{SignalKind, StgBuilder};
         let mut b = StgBuilder::new();
         let x = b.signal("x", SignalKind::Output);
@@ -681,8 +701,18 @@ mod tests {
         b.arc_tp(y_m, px);
         b.mark(px);
         b.initial_all_zero();
-        let stg = b.build().expect("builds");
-        let err = synthesize_from_unfolding(&stg, &SynthesisOptions::default()).unwrap_err();
-        assert!(matches!(err, SynthesisError::NotPersistent { .. }));
+        b.build().expect("builds")
+    }
+
+    #[test]
+    fn persistency_violation_reported() {
+        let stg = output_choice();
+        for options in [exact_options(), SynthesisOptions::default()] {
+            let err = synthesize_from_unfolding(&stg, &options).unwrap_err();
+            assert!(
+                matches!(&err, SynthesisError::NotPersistent { signal } if signal == "x"),
+                "got {err:?}"
+            );
+        }
     }
 }

@@ -175,7 +175,7 @@ pub fn expand(f: &mut Cover, off: &Cover) {
 ///
 /// The containment question "do the remaining cubes still cover `o`?" goes
 /// straight through the unate-recursive cofactor/tautology machinery
-/// ([`cofactor_covers`]) on a filtered view of the cover — no candidate
+/// (`cofactor_covers`) on a filtered view of the cover — no candidate
 /// cover is materialised per removal attempt.
 pub fn irredundant(f: &mut Cover, on: &Cover) {
     // Try to remove large-literal cubes first (they are the most specific).

@@ -68,18 +68,6 @@ impl ReachabilityGraph {
             edges: Vec::new(),
             index: HashMap::new(),
         };
-        // Structural pre-sizing: when a unary-invariant cover bounds the
-        // state count below the budget, reserve the tables once up front
-        // instead of growing them through the whole exploration.
-        let cert = crate::structural::certify_one_safe(net);
-        if let Some(bound) = crate::structural::structural_state_bound(net, &cert) {
-            if bound < budget as u128 {
-                let cap = bound as usize;
-                graph.markings.reserve(cap);
-                graph.edges.reserve(cap);
-                graph.index.reserve(cap);
-            }
-        }
         // Pre-size the marking's bitset for the full place range so every
         // clone made by `fire` carries full-width blocks from the start.
         let mut initial = Marking::with_capacity(net.place_count());

@@ -296,6 +296,35 @@ impl SgClassification {
         (on, off)
     }
 
+    /// Builds `signal`'s excitation regions into a caller-held pool:
+    /// `ER(+a)`, the states where its rising change is excited, and
+    /// `ER(-a)`, those where its falling change is. These are the points a
+    /// Set and a Reset function must cover. Rows stream into
+    /// [`ImplicitPool::from_minterms`] in canonical code order, as in
+    /// [`sets_into`](Self::sets_into).
+    pub fn excitation_sets_into(
+        &self,
+        pool: &mut ImplicitPool,
+        signal: SignalId,
+    ) -> (ImplicitCover, ImplicitCover) {
+        let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
+        let mut rise_list = MintermList::new(self.width);
+        let mut fall_list = MintermList::new(self.width);
+        for &s in self.order() {
+            let base = s * self.blocks;
+            let row = &self.codes[base..base + self.blocks];
+            if self.rise[base + b] & m != 0 {
+                rise_list.push_blocks(row);
+            }
+            if self.fall[base + b] & m != 0 {
+                fall_list.push_blocks(row);
+            }
+        }
+        let rise = pool.from_minterms(&mut rise_list);
+        let fall = pool.from_minterms(&mut fall_list);
+        (rise, fall)
+    }
+
     fn build(stg: &Stg, sg: &StateGraph) -> Self {
         let width = stg.signal_count();
         let blocks = width.div_ceil(64).max(1);
@@ -902,6 +931,7 @@ mod tests {
         for signal in [0, 1, 31, 63, 64, 65, 69].map(SignalId) {
             let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
             let (mut on, mut off) = (pool.empty(), pool.empty());
+            let (mut er_rise, mut er_fall) = (pool.empty(), pool.empty());
             for [code, rise, fall] in &rows {
                 let implied = rise[b] & m != 0 || (fall[b] & m == 0 && code[b] & m != 0);
                 let point = pool.cube_set(&Cube::minterm(
@@ -912,8 +942,19 @@ mod tests {
                 } else {
                     off = pool.union(off, point);
                 }
+                if rise[b] & m != 0 {
+                    er_rise = pool.union(er_rise, point);
+                }
+                if fall[b] & m != 0 {
+                    er_fall = pool.union(er_fall, point);
+                }
             }
             assert_eq!(class.sets_into(&mut pool, signal), (on, off), "{signal:?}");
+            assert_eq!(
+                class.excitation_sets_into(&mut pool, signal),
+                (er_rise, er_fall),
+                "{signal:?}"
+            );
         }
         // The rows reach the builder canonically ordered, so it never sorts.
         let code = |s: usize| &class.codes[2 * s..2 * s + 2];

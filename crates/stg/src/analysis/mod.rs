@@ -7,7 +7,7 @@
 //! * the net-level machinery of [`si_petri::structural`] (incidence
 //!   matrix, exact P/T-invariants, unary-invariant 1-safety certificates,
 //!   siphons, net classes) applied to the STG's underlying net, and
-//! * the signal-level checks of [`signals`] (dead signals, rise/fall
+//! * the signal-level checks of [`signal_findings`] (dead signals, rise/fall
 //!   alternation on syntactic paths, polarity coverage, dummies),
 //!
 //! and surfaces everything two ways: as a typed [`StgAnalysis`] record for

@@ -2,7 +2,8 @@
 //! classic asynchronous controllers.
 //!
 //! The original DAC'97 benchmark `.g` files are not available offline, so
-//! Table 1 is regenerated over this suite (see `DESIGN.md`, "Substitutions").
+//! Table 1 is regenerated over this suite instead; its numbers describe
+//! these reconstructions, not the original files.
 //! Every entry is a closed, consistent, 1-safe STG; the integration tests
 //! check consistency, semi-modularity and (where expected) CSC for each one.
 

@@ -32,8 +32,9 @@
 //! # }
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! regenerated Table 1 / Figure 6 results.
+//! The repository README lists the workspace layout and each flow's
+//! measured performance; the `si-bench` binaries `table1` and `fig6`
+//! regenerate the paper's Table 1 and Figure 6.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,16 +1,18 @@
 //! Exact mode classifies every reachable state in one walk over the
 //! segment (`classify_reachable`). The walk must find exactly the state
-//! graph's states, under both cutoff orders, and put every state on the
-//! same side of every signal as the SG baseline's implied-value rule. Its
-//! budget must count the walk's distinct markings through the public entry
-//! point.
+//! graph's states, under both cutoff orders, put every state on the same
+//! side of every signal as the SG baseline's implied-value rule, and give
+//! every signal the state graph's excitation regions. Its budget must count
+//! the walk's distinct markings through the public entry point.
 
+use si_synth::cubes::implicit::ImplicitPool;
+use si_synth::cubes::{Cover, Cube};
 use si_synth::stategraph::{on_off_sets, StateGraph};
 use si_synth::stg::generators::{
     counterflow_pipeline, independent_cycles, muller_pipeline, parallelizer, sequencer, token_ring,
 };
 use si_synth::stg::suite::synthesisable;
-use si_synth::stg::Stg;
+use si_synth::stg::{Polarity, SignalId, Stg};
 use si_synth::synthesis::exact::classify_reachable;
 use si_synth::synthesis::{synthesize_from_unfolding, CoverMode, SynthesisError, SynthesisOptions};
 use si_synth::unfolding::{AdequateOrder, StgUnfolding, UnfoldingOptions};
@@ -44,9 +46,36 @@ fn walk_classifies_exactly_the_state_graph() {
                 let got = states.on_off_sets(signal).to_on_off_sets();
                 assert_eq!(got.on, expected.on, "{what}: on-set of {signal}");
                 assert_eq!(got.off, expected.off, "{what}: off-set of {signal}");
+
+                let mut pool = ImplicitPool::new(stg.signal_count());
+                let (rise, fall) = states.excitation_sets_into(&mut pool, signal);
+                let got = [rise, fall].map(|er| pool.minterms_cover(er));
+                let expected = [Polarity::Rise, Polarity::Fall]
+                    .map(|polarity| excitation_region(&stg, &sg, signal, polarity));
+                assert_eq!(got, expected, "{what}: ER(+/-) of {signal}");
             }
         }
     }
+}
+
+/// The codes of the states where `signal` has an excited change of
+/// `polarity`, as a minterm cover in canonical order.
+fn excitation_region(stg: &Stg, sg: &StateGraph, signal: SignalId, polarity: Polarity) -> Cover {
+    let mut cubes: Vec<Cube> = (0..sg.len())
+        .filter(|&s| {
+            sg.excited(stg, s)
+                .iter()
+                .any(|e| e.signal == signal && e.polarity == polarity)
+        })
+        .map(|s| Cube::minterm(sg.code(s).iter().map(|(_, v)| v)))
+        .collect();
+    cubes.sort_by(Cube::cmp_canonical);
+    cubes.dedup();
+    let mut cover = Cover::empty(stg.signal_count());
+    for cube in cubes {
+        cover.push(cube);
+    }
+    cover
 }
 
 #[test]
