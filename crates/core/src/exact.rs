@@ -13,12 +13,11 @@
 //! same walk. The per-slice traversals serve only approximate mode: the
 //! refinement loop's exact fallback and the §6 membership probes.
 
-use std::collections::hash_map::RandomState;
 use std::collections::HashSet;
-use std::hash::BuildHasher;
 use std::ops::ControlFlow;
 
 use si_cubes::{Cover, Cube};
+use si_petri::RowIndex;
 use si_stategraph::SgClassification;
 use si_stg::{BinaryCode, Polarity, SignalId, Stg};
 use si_unfolding::{ConditionId, EventId, StgUnfolding};
@@ -93,7 +92,7 @@ pub fn classify_reachable(
 
     let mut row = rows.start(unf.min_stable_cut(EventId::ROOT), unf.initial_code());
     let mut next = row.clone();
-    let mut seen = SeenWords::default();
+    let mut seen = RowIndex::new(rows.marking_words);
     seen.insert(rows.marking(&row));
     let mut level: Vec<u64> = row.clone();
     let mut next_level: Vec<u64> = Vec::new();
@@ -259,11 +258,11 @@ pub fn for_each_slice_code(
     // is explored first.
     let mut row = rows.start(&slice.min_cut(unf), &start_code);
     let mut next = row.clone();
-    let mut seen = SeenWords::default();
+    let mut seen = RowIndex::new(rows.marking_words);
     seen.insert(rows.marking(&row));
     let mut queue: Vec<u64> = row.clone();
     let mut deferred: Vec<u64> = Vec::new();
-    let mut code_set = SeenWords::default();
+    let mut code_set = RowIndex::new(start_code.words().len());
     let mut code = start_code;
     // `stamp[e] == generation` marks `e` as already examined at this cut.
     let mut stamp: Vec<u64> = vec![0; unf.event_count()];
@@ -450,64 +449,6 @@ fn pop_row(stack: &mut Vec<u64>, row: &mut [u64]) -> bool {
     row.copy_from_slice(&stack[top..]);
     stack.truncate(top);
     true
-}
-
-/// The packed markings or codes met so far, stored back to back in one
-/// arena and indexed by an open-addressing table, so recording a new row
-/// allocates nothing beyond amortised growth. Keys derive from the input
-/// specification, so rows are hashed with std's default (collision-
-/// resistant) hasher.
-#[derive(Default)]
-struct SeenWords {
-    hasher: RandomState,
-    /// The recorded rows, each `words.len() / len` words wide.
-    words: Vec<u64>,
-    len: usize,
-    /// Row index + 1 per slot, 0 for an empty slot; a power of two in size.
-    slots: Vec<usize>,
-    /// The hash of each recorded row, for rebuilding `slots` on growth.
-    hashes: Vec<u64>,
-}
-
-impl SeenWords {
-    /// Records `row`; `true` if it was not seen before. Every row recorded
-    /// in one set must have the same width.
-    fn insert(&mut self, row: &[u64]) -> bool {
-        if 2 * (self.len + 1) > self.slots.len() {
-            self.grow();
-        }
-        let hash = self.hasher.hash_one(row);
-        let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.slots[slot] {
-                0 => break,
-                k if self.words[(k - 1) * row.len()..k * row.len()] == *row => return false,
-                _ => slot = (slot + 1) & mask,
-            }
-        }
-        self.words.extend_from_slice(row);
-        self.hashes.push(hash);
-        self.len += 1;
-        self.slots[slot] = self.len;
-        true
-    }
-
-    fn grow(&mut self) {
-        let size = (2 * self.slots.len()).max(16);
-        self.slots = vec![0; size];
-        for (i, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = hash as usize & (size - 1);
-            while self.slots[slot] != 0 {
-                slot = (slot + 1) & (size - 1);
-            }
-            self.slots[slot] = i + 1;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
 }
 
 /// Checks whether `cover` becomes TRUE anywhere inside the given slices —

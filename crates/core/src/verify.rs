@@ -170,7 +170,7 @@ pub(crate) fn verify_gate_functions(
     match engine {
         SgEngine::Explicit => {
             let sg = StateGraph::build(stg, budget)?;
-            let class = si_stategraph::SgClassification::new(stg, &sg);
+            let class = sg.classification();
             for gate in gates {
                 check_gate(stg, gate, class.on_off_sets(gate.signal))?;
             }

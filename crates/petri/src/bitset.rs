@@ -51,14 +51,6 @@ impl BitSet {
         BitSet { blocks: Vec::new() }
     }
 
-    /// Creates an empty set pre-sized to hold ids below `capacity` without
-    /// reallocation.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BitSet {
-            blocks: vec![0; capacity.div_ceil(BITS)],
-        }
-    }
-
     /// Number of ids currently in the set.
     pub fn len(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()

@@ -2,8 +2,10 @@
 //!
 //! The bottom-most substrate of the `si-synth` workspace: marked place/
 //! transition nets `N = ⟨P, T, F, m₀⟩` with unit arc weights, the firing
-//! rule, explicit and symbolic (BDD-based) reachability exploration, and the
-//! [`BitSet`] utility shared by the state-graph and unfolding crates.
+//! rule, explicit and symbolic (BDD-based) reachability exploration, the
+//! [`BitSet`] utility shared by the state-graph and unfolding crates, and the
+//! [`RowIndex`] of packed state rows that every explicit walk deduplicates
+//! its states with.
 //!
 //! Signal Transition Graphs (crate `si-stg`) are labelled 1-safe nets; the
 //! STG-unfolding segment (crate `si-unfolding`) is a partial-order run of
@@ -43,6 +45,7 @@ mod error;
 mod marking;
 mod net;
 mod reach;
+mod rows;
 pub mod structural;
 mod symbolic;
 
@@ -52,4 +55,5 @@ pub use error::NetError;
 pub use marking::Marking;
 pub use net::{PetriNet, PlaceId, TransitionId};
 pub use reach::ReachabilityGraph;
+pub use rows::RowIndex;
 pub use symbolic::{AuxAction, SymbolicOptions, SymbolicReach, SymbolicStats};

@@ -28,16 +28,6 @@ impl Marking {
         Self::default()
     }
 
-    /// Creates an empty marking whose backing bitset is pre-sized for
-    /// `place_count` places, so clones made while firing never reallocate.
-    /// Equality and hashing ignore trailing empty blocks, so a pre-sized
-    /// marking compares equal to an organically grown one.
-    pub fn with_capacity(place_count: usize) -> Self {
-        Marking {
-            places: BitSet::with_capacity(place_count),
-        }
-    }
-
     /// Returns `true` if `place` is marked.
     pub fn contains(&self, place: PlaceId) -> bool {
         self.places.contains(place.index())

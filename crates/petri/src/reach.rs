@@ -5,20 +5,29 @@
 //! unfolding-based method avoids. It is kept in the kernel crate because both
 //! the state-graph substrate and several checks reuse it.
 
-use std::collections::HashMap;
-
 use crate::error::NetError;
 use crate::marking::Marking;
-use crate::net::{PetriNet, TransitionId};
+use crate::net::{PetriNet, PlaceId, TransitionId};
+use crate::rows::RowIndex;
 
 /// The reachability graph of a 1-safe net: all reachable markings plus the
 /// labelled successor relation.
+///
+/// States are numbered in breadth-first discovery order from the initial
+/// marking (state 0), and each state's edges are listed in transition-id
+/// order. Markings are stored packed, a bit per place, as the rows of one
+/// [`RowIndex`]; the edges are stored in compressed sparse row form. A
+/// state costs `8 · ⌈|P| / 64⌉` bytes of marking, 8 bytes of hash, 16 to
+/// 32 bytes of index table and an 8-byte edge offset; an edge costs 16
+/// bytes.
 #[derive(Debug, Clone)]
 pub struct ReachabilityGraph {
-    markings: Vec<Marking>,
-    /// `edges[s]` lists `(t, s')` with `markings[s] --t--> markings[s']`.
-    edges: Vec<Vec<(TransitionId, usize)>>,
-    index: HashMap<Marking, usize>,
+    /// Every reachable marking, numbered by state id.
+    markings: RowIndex,
+    /// State `s`'s edges are `edges[offsets[s]..offsets[s + 1]]`.
+    offsets: Vec<usize>,
+    /// `(t, s')` with `s --t--> s'`, grouped by source state `s`.
+    edges: Vec<(TransitionId, usize)>,
 }
 
 impl ReachabilityGraph {
@@ -31,12 +40,17 @@ impl ReachabilityGraph {
     /// the caller from state explosion; the symbolic engine
     /// ([`crate::SymbolicReach`]) goes where this budget cannot.
     ///
+    /// The walk is breadth-first. At each state it tries the transitions in
+    /// id order against word masks of their presets, and fires an enabled
+    /// one by clearing its preset's bits and setting its postset's.
+    ///
     /// # Errors
     ///
-    /// Returns [`NetError::Unsafe`] if a firing violates 1-safeness and
+    /// Returns [`NetError::Unsafe`] if a firing violates 1-safeness (with
+    /// the place and transition [`PetriNet::fire`] reports) and
     /// [`NetError::StateBudgetExceeded`] if storing one more state would
     /// exceed `budget` — including `budget == 0`, where even the initial
-    /// marking does not fit.
+    /// marking does not fit. Whichever the walk meets first is returned.
     ///
     /// # Examples
     ///
@@ -63,45 +77,51 @@ impl ReachabilityGraph {
             // truncated state space.
             return Err(NetError::StateBudgetExceeded { budget });
         }
-        let mut graph = ReachabilityGraph {
-            markings: Vec::new(),
-            edges: Vec::new(),
-            index: HashMap::new(),
-        };
-        // Pre-size the marking's bitset for the full place range so every
-        // clone made by `fire` carries full-width blocks from the start.
-        let mut initial = Marking::with_capacity(net.place_count());
+        let width = net.place_count().div_ceil(64);
+        let masks = FiringMasks::new(net, width);
+        let mut markings = RowIndex::new(width);
+        let mut row = vec![0u64; width];
         for p in net.initial_marking().iter() {
-            initial.insert(p);
+            set_bit(&mut row, p.index());
         }
-        graph.intern(initial);
-        let mut frontier = 0usize;
-        while frontier < graph.markings.len() {
-            let marking = graph.markings[frontier].clone();
-            for t in net.enabled_transitions(&marking) {
-                let next = net.fire(t, &marking)?;
-                let next_id = match graph.index.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        if graph.markings.len() >= budget {
-                            return Err(NetError::StateBudgetExceeded { budget });
-                        }
-                        graph.intern(next)
-                    }
-                };
-                graph.edges[frontier].push((t, next_id));
+        markings.insert(&row);
+        let mut next = vec![0u64; width];
+        let mut offsets = vec![0];
+        let mut edges = Vec::new();
+        let mut state = 0;
+        while state < markings.len() {
+            row.copy_from_slice(markings.row(state));
+            for t in 0..masks.transitions {
+                let (pre, post) = masks.of(t);
+                if row.iter().zip(pre).any(|(&m, &p)| m & p != p) {
+                    continue;
+                }
+                let mut clash = masks.repeated_output[t];
+                for (((n, &m), &p), &q) in next.iter_mut().zip(&row).zip(pre).zip(post) {
+                    let kept = m & !p;
+                    clash |= kept & q != 0;
+                    *n = kept | q;
+                }
+                let t = TransitionId(t as u32);
+                if clash {
+                    // The masks only detect the second token; `fire` names
+                    // its place, replaying the postset in arc order.
+                    net.fire(t, &to_marking(&row))?;
+                }
+                let (id, new) = markings.insert_full(&next);
+                if new && id >= budget {
+                    return Err(NetError::StateBudgetExceeded { budget });
+                }
+                edges.push((t, id));
             }
-            frontier += 1;
+            offsets.push(edges.len());
+            state += 1;
         }
-        Ok(graph)
-    }
-
-    fn intern(&mut self, marking: Marking) -> usize {
-        let id = self.markings.len();
-        self.index.insert(marking.clone(), id);
-        self.markings.push(marking);
-        self.edges.push(Vec::new());
-        id
+        Ok(ReachabilityGraph {
+            markings,
+            offsets,
+            edges,
+        })
     }
 
     /// Number of reachable markings.
@@ -109,8 +129,8 @@ impl ReachabilityGraph {
         self.markings.len()
     }
 
-    /// Returns `true` if the graph has no states (only possible for an
-    /// unexplored graph; exploration always yields at least the initial
+    /// Returns `true` if the graph has no states (never after
+    /// [`explore`](Self::explore), whose graph holds at least the initial
     /// marking).
     pub fn is_empty(&self) -> bool {
         self.markings.is_empty()
@@ -121,44 +141,105 @@ impl ReachabilityGraph {
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn marking(&self, id: usize) -> &Marking {
-        &self.markings[id]
+    pub fn marking(&self, id: usize) -> Marking {
+        to_marking(self.markings.row(id))
     }
 
-    /// Outgoing `(transition, successor)` edges of state `id`.
+    /// Outgoing `(transition, successor)` edges of state `id`, in
+    /// transition-id order.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
     pub fn successors(&self, id: usize) -> &[(TransitionId, usize)] {
-        &self.edges[id]
+        &self.edges[self.offsets[id]..self.offsets[id + 1]]
     }
 
     /// Looks up the state id of `marking`, if reachable.
     pub fn state_of(&self, marking: &Marking) -> Option<usize> {
-        self.index.get(marking).copied()
+        let mut row = vec![0u64; self.markings.width()];
+        for p in marking.iter() {
+            // A place beyond the net's is never marked in a reachable state.
+            let word = row.get_mut(p.index() / 64)?;
+            *word |= 1 << (p.index() % 64);
+        }
+        self.markings.get(&row)
     }
 
     /// Iterates over `(state id, marking)` pairs in discovery (BFS) order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Marking)> + '_ {
-        self.markings.iter().enumerate()
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Marking)> + '_ {
+        (0..self.len()).map(|id| (id, self.marking(id)))
     }
 
     /// States with no outgoing edges (deadlocks).
     pub fn deadlocks(&self) -> Vec<usize> {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.is_empty())
-            .map(|(i, _)| i)
+        (0..self.len())
+            .filter(|&id| self.offsets[id] == self.offsets[id + 1])
             .collect()
     }
+}
+
+/// Each transition's preset and postset as word masks over the places, in
+/// the layout of the graph's marking rows.
+struct FiringMasks {
+    transitions: usize,
+    width: usize,
+    /// Per transition: its preset's mask, then its postset's.
+    words: Vec<u64>,
+    /// Per transition: whether some place has two arcs from it, so that
+    /// firing it always puts a second token there.
+    repeated_output: Vec<bool>,
+}
+
+impl FiringMasks {
+    fn new(net: &PetriNet, width: usize) -> Self {
+        let transitions = net.transition_count();
+        let mut words = vec![0u64; 2 * width * transitions];
+        let mut repeated_output = vec![false; transitions];
+        for t in net.transitions() {
+            let masks = &mut words[2 * width * t.index()..2 * width * (t.index() + 1)];
+            let (pre, post) = masks.split_at_mut(width);
+            for p in net.preset(t) {
+                set_bit(pre, p.index());
+            }
+            for p in net.postset(t) {
+                repeated_output[t.index()] |= has_bit(post, p.index());
+                set_bit(post, p.index());
+            }
+        }
+        FiringMasks {
+            transitions,
+            width,
+            words,
+            repeated_output,
+        }
+    }
+
+    /// Transition `t`'s preset and postset masks.
+    #[inline]
+    fn of(&self, t: usize) -> (&[u64], &[u64]) {
+        self.words[2 * self.width * t..2 * self.width * (t + 1)].split_at(self.width)
+    }
+}
+
+fn to_marking(row: &[u64]) -> Marking {
+    (0..row.len() * 64)
+        .filter(|&p| has_bit(row, p))
+        .map(|p| PlaceId(p as u32))
+        .collect()
+}
+
+fn has_bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] & (1 << (i % 64)) != 0
+}
+
+fn set_bit(words: &mut [u64], i: usize) {
+    words[i / 64] |= 1 << (i % 64);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::PetriNet;
 
     /// Two independent 2-cycles: 4 reachable markings.
     fn two_cycles() -> PetriNet {
@@ -226,7 +307,7 @@ mod tests {
         let net = two_cycles();
         let rg = ReachabilityGraph::explore(&net, 100).expect("explores");
         for (id, m) in rg.iter() {
-            assert_eq!(rg.state_of(m), Some(id));
+            assert_eq!(rg.state_of(&m), Some(id));
         }
     }
 
@@ -259,9 +340,39 @@ mod tests {
         net.add_arc_tp(t1, p2);
         net.mark_initially(p0);
         net.mark_initially(p1);
-        assert!(matches!(
-            ReachabilityGraph::explore(&net, 100),
-            Err(NetError::Unsafe { .. })
-        ));
+        // t0 fires first from the initial marking; t1 then overfills p2.
+        let m1 = net.fire(t0, net.initial_marking()).expect("safe step");
+        let expected = net.fire(t1, &m1).unwrap_err();
+        assert!(
+            matches!(expected, NetError::Unsafe { place, transition, .. }
+            if place == p2 && transition == t1)
+        );
+        assert_eq!(ReachabilityGraph::explore(&net, 100).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn duplicate_output_arc_is_unsafe_as_fire_reports_it() {
+        let mut net = PetriNet::new();
+        let p0 = net.add_place("p0");
+        let p1 = net.add_place("p1");
+        let t = net.add_transition("t");
+        net.add_arc_pt(p0, t);
+        net.add_arc_tp(t, p1);
+        net.add_arc_tp(t, p1);
+        net.mark_initially(p0);
+        let expected = net.fire(t, net.initial_marking()).unwrap_err();
+        assert!(matches!(expected, NetError::Unsafe { place, .. } if place == p1));
+        assert_eq!(ReachabilityGraph::explore(&net, 100).unwrap_err(), expected);
+    }
+
+    #[test]
+    fn unreachable_or_foreign_markings_have_no_state() {
+        let net = two_cycles();
+        let rg = ReachabilityGraph::explore(&net, 100).expect("explores");
+        let both_marked: Marking = [PlaceId(0), PlaceId(1)].into_iter().collect();
+        assert_eq!(rg.state_of(&both_marked), None);
+        let foreign: Marking = [PlaceId(0), PlaceId(2), PlaceId(700)].into_iter().collect();
+        assert_eq!(rg.state_of(&foreign), None);
+        assert_eq!(rg.state_of(net.initial_marking()), Some(0));
     }
 }

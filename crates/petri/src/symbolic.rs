@@ -695,7 +695,7 @@ mod tests {
         let symbolic = SymbolicReach::explore(&net, &SymbolicOptions::default()).expect("explores");
         assert_eq!(symbolic.state_count(), explicit.len() as u128);
         for (_, m) in explicit.iter() {
-            assert!(symbolic.contains(m, &[]), "{m:?} missing symbolically");
+            assert!(symbolic.contains(&m, &[]), "{m:?} missing symbolically");
         }
     }
 
@@ -965,7 +965,7 @@ mod tests {
                 .expect("explicit explores")
                 .iter()
             {
-                assert!(reach.contains(m, &[]), "{reorder:?}: {m:?} missing");
+                assert!(reach.contains(&m, &[]), "{reorder:?}: {m:?} missing");
             }
         }
     }

@@ -2,9 +2,10 @@
 //! STG with a consistent binary code assigned to every state.
 
 use si_petri::{ReachabilityGraph, TransitionId};
-use si_stg::{BinaryCode, SignalTransition, Stg};
+use si_stg::{BinaryCode, Polarity, SignalId, SignalTransition, Stg};
 
 use crate::error::SgError;
+use crate::synth::SgClassification;
 
 /// The explicit state graph of an STG.
 ///
@@ -16,6 +17,12 @@ use crate::error::SgError;
 ///
 /// If the STG does not declare an initial code, one is inferred from the
 /// propagation constraints (bits of signals that never fire default to 0).
+///
+/// The graph keeps the [`ReachabilityGraph`] (packed markings and edges)
+/// and an [`SgClassification`] of its states: each state's packed code and
+/// its excited rising and falling signals, three rows of `⌈|A| / 64⌉`
+/// words. Synthesis and the property checks read that classification; no
+/// per-state code object is stored.
 ///
 /// # Examples
 ///
@@ -34,7 +41,7 @@ use crate::error::SgError;
 #[derive(Debug, Clone)]
 pub struct StateGraph {
     graph: ReachabilityGraph,
-    codes: Vec<BinaryCode>,
+    class: SgClassification,
     initial_code: BinaryCode,
 }
 
@@ -42,31 +49,50 @@ impl StateGraph {
     /// Explores the STG's reachability graph (bounded by `budget` states)
     /// and assigns consistent binary codes.
     ///
+    /// After the exploration, one pass over the edges in state-id order
+    /// (the order a breadth-first walk from the initial state visits them)
+    /// gives every state the parity of each signal's changes along the path
+    /// that discovered it, checks every other edge against those parities,
+    /// collects the constraints on the initial code and records each
+    /// state's excited changes. The codes are the settled initial code
+    /// XOR the parities.
+    ///
     /// # Errors
     ///
     /// * [`SgError::Net`] if the net is unsafe or exceeds the budget;
-    /// * [`SgError::Inconsistent`] if no consistent assignment exists.
+    /// * [`SgError::Inconsistent`] if no consistent assignment exists (the
+    ///   first violation in edge order).
     pub fn build(stg: &Stg, budget: usize) -> Result<Self, SgError> {
         let graph = ReachabilityGraph::explore(stg.net(), budget).map_err(SgError::Net)?;
         let n = stg.signal_count();
-
-        // Phase 1: parity of each signal along any path (delta), BFS.
-        let mut delta: Vec<Option<BinaryCode>> = vec![None; graph.len()];
-        delta[0] = Some(BinaryCode::zeros(n));
-        let mut queue = std::collections::VecDeque::from([0usize]);
-        // v0 constraints harvested from edges: v0[a] = delta(s)[a] ⊕ source.
+        let blocks = n.div_ceil(64).max(1);
+        let states = graph.len();
+        // Each state's parity row until the initial code is settled, then
+        // its code.
+        let mut codes = vec![0u64; states * blocks];
+        let mut rise = vec![0u64; states * blocks];
+        let mut fall = vec![0u64; states * blocks];
+        // v0 constraints harvested from edges: v0[a] = parity(s)[a] ⊕ source.
         let mut v0_known: Vec<Option<bool>> = vec![None; n];
-        while let Some(s) = queue.pop_front() {
-            let Some(d) = delta[s].clone() else {
-                // Every state is assigned its delta before being enqueued.
-                unreachable!("state {s} queued before its delta was set");
-            };
+        let mut parity = vec![0u64; blocks];
+        let mut next = vec![0u64; blocks];
+        // States are numbered in discovery order, so the first edge into
+        // each state other than 0 is the one into state `discovered`.
+        let mut discovered = 1;
+        for s in 0..states {
+            let base = s * blocks;
+            parity.copy_from_slice(&codes[base..base + blocks]);
             for &(t, s2) in graph.successors(s) {
-                let mut d2 = d.clone();
+                next.copy_from_slice(&parity);
                 if let Some(SignalTransition { signal, polarity }) = stg.label(t) {
-                    d2.toggle(signal);
-                    // v0[signal] ⊕ delta[signal] = value before the change
-                    let constraint = d.get(signal) ^ polarity.source_value();
+                    let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
+                    next[b] ^= m;
+                    match polarity {
+                        Polarity::Rise => rise[base + b] |= m,
+                        Polarity::Fall => fall[base + b] |= m,
+                    }
+                    // v0[signal] ⊕ parity[signal] = value before the change
+                    let constraint = (parity[b] & m != 0) ^ polarity.source_value();
                     match v0_known[signal.index()] {
                         None => v0_known[signal.index()] = Some(constraint),
                         Some(prev) if prev != constraint => {
@@ -83,36 +109,23 @@ impl StateGraph {
                         Some(_) => {}
                     }
                 }
-                match &delta[s2] {
-                    None => {
-                        delta[s2] = Some(d2);
-                        queue.push_back(s2);
-                    }
-                    Some(existing) => {
-                        if *existing != d2 {
-                            let sig = stg
-                                .label(t)
-                                .map(|l| stg.signal_name(l.signal).to_owned())
-                                .unwrap_or_else(|| "<dummy>".to_owned());
-                            return Err(SgError::Inconsistent {
-                                signal: sig,
-                                detail: "signal-change parity differs between two paths \
-                                         to the same marking"
-                                    .to_owned(),
-                            });
-                        }
-                    }
+                let target = &mut codes[s2 * blocks..(s2 + 1) * blocks];
+                if s2 == discovered {
+                    target.copy_from_slice(&next);
+                    discovered += 1;
+                } else if *target != *next {
+                    return Err(parity_conflict(stg, t));
                 }
             }
         }
 
-        // Phase 2: settle v0. Prefer the declared code; check it against the
+        // Settle v0. Prefer the declared code; check it against the
         // harvested constraints.
         let initial_code = match stg.initial_code() {
             Some(code) => {
                 for (i, known) in v0_known.iter().enumerate() {
                     if let Some(v) = known {
-                        let sig = si_stg::SignalId(i as u32);
+                        let sig = SignalId(i as u32);
                         if code.get(sig) != *v {
                             return Err(SgError::Inconsistent {
                                 signal: stg.signal_name(sig).to_owned(),
@@ -128,39 +141,18 @@ impl StateGraph {
                 }
                 code.clone()
             }
-            None => {
-                let mut code = BinaryCode::zeros(n);
-                for (i, known) in v0_known.iter().enumerate() {
-                    if let Some(true) = known {
-                        code.set(si_stg::SignalId(i as u32), true);
-                    }
-                }
-                code
-            }
+            None => BinaryCode::from_bits(v0_known.iter().map(|known| *known == Some(true))),
         };
 
-        // Phase 3: codes = v0 ⊕ delta.
-        let codes: Vec<BinaryCode> = delta
-            .into_iter()
-            .map(|d| {
-                let Some(d) = d else {
-                    // The reachability graph only stores states its own BFS
-                    // reached, so the parity BFS above visits all of them.
-                    unreachable!("reachable state missed by the parity BFS");
-                };
-                let mut c = initial_code.clone();
-                for (sig, bit) in d.iter() {
-                    if bit {
-                        c.toggle(sig);
-                    }
-                }
-                c
-            })
-            .collect();
-
+        // codes = v0 ⊕ parity.
+        for row in codes.chunks_exact_mut(blocks) {
+            for (word, v0) in row.iter_mut().zip(initial_code.words()) {
+                *word ^= v0;
+            }
+        }
         Ok(StateGraph {
             graph,
-            codes,
+            class: SgClassification::from_rows(n, codes, rise, fall),
             initial_code,
         })
     }
@@ -180,13 +172,21 @@ impl StateGraph {
         &self.graph
     }
 
+    /// Every state's packed code and excited rising and falling signals,
+    /// recorded while the graph was built. Synthesis derives each signal's
+    /// on/off sets from it.
+    pub fn classification(&self) -> &SgClassification {
+        &self.class
+    }
+
     /// The binary code of state `s`.
     ///
     /// # Panics
     ///
     /// Panics if `s` is out of range.
-    pub fn code(&self, s: usize) -> &BinaryCode {
-        &self.codes[s]
+    pub fn code(&self, s: usize) -> BinaryCode {
+        let words = self.class.code_words(s);
+        BinaryCode::from_bits((0..self.class.width()).map(|i| words[i / 64] >> (i % 64) & 1 == 1))
     }
 
     /// The initial binary code `v₀` (declared or inferred).
@@ -194,12 +194,14 @@ impl StateGraph {
         &self.initial_code
     }
 
-    /// Outgoing `(transition, successor)` edges of state `s`.
+    /// Outgoing `(transition, successor)` edges of state `s`, in
+    /// transition-id order.
     pub fn successors(&self, s: usize) -> &[(TransitionId, usize)] {
         self.graph.successors(s)
     }
 
-    /// The signal changes excited (enabled) at state `s`.
+    /// The signal changes excited (enabled) at state `s`, one per outgoing
+    /// labelled edge, in transition-id order.
     pub fn excited(&self, stg: &Stg, s: usize) -> Vec<SignalTransition> {
         self.graph
             .successors(s)
@@ -209,13 +211,26 @@ impl StateGraph {
     }
 }
 
+/// The error for an edge labelled `t` whose target already has a different
+/// parity: two paths to one marking change some signal an odd and an even
+/// number of times.
+fn parity_conflict(stg: &Stg, t: TransitionId) -> SgError {
+    SgError::Inconsistent {
+        signal: stg
+            .label(t)
+            .map(|l| stg.signal_name(l.signal).to_owned())
+            .unwrap_or_else(|| "<dummy>".to_owned()),
+        detail: "signal-change parity differs between two paths to the same marking".to_owned(),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use si_petri::NetError;
     use si_stg::generators::{muller_pipeline, sequencer};
     use si_stg::suite::paper_fig1;
-    use si_stg::{Polarity, StgBuilder};
+    use si_stg::StgBuilder;
 
     #[test]
     fn fig1_codes_match_paper() {

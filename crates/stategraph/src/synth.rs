@@ -6,8 +6,9 @@
 //! Espresso-style optimiser. The state graph itself is still explicit (that
 //! is the point of the paper's unfolding-based alternative), but the on/off
 //! sets use the *implicit* cover representation ([`ImplicitOnOffSets`]):
-//! states are accumulated into canonical disjoint-cube sets during one
-//! classification sweep, states identical on a signal's support collapse
+//! states are accumulated into canonical disjoint-cube sets from the
+//! per-state classification the graph records as it is built
+//! ([`SgClassification`]), states identical on a signal's support collapse
 //! into shared diagram structure, and the minimiser phases run against the
 //! implicit sets — with gate equations byte-identical to minimising the
 //! explicit minterm covers of [`on_off_sets`] (pinned by the equivalence
@@ -18,7 +19,7 @@ use std::sync::OnceLock;
 use si_cubes::implicit::{cmp_minterm_rows, ImplicitCover, ImplicitPool, MintermList};
 use si_cubes::par::par_map;
 use si_cubes::{minimize_exact_implicit, minimize_implicit, Cover, Cube, QmBudget};
-use si_stg::{Polarity, SignalId, SignalTransition, Stg};
+use si_stg::{Polarity, SignalId, Stg};
 
 use si_bdd::ReorderPolicy;
 
@@ -166,16 +167,17 @@ impl ImplicitOnOffSets {
 
 /// Per-state classification data shared by every signal's implicit on/off
 /// derivation: packed binary codes plus the excited rise/fall signal masks,
-/// computed in one sweep over the SG instead of once per signal.
+/// three rows of `⌈width / 64⌉` words per state (at least one).
 ///
-/// Build it once with [`SgClassification::new`] when deriving sets for
-/// several signals of the same SG: one sweep over the states and their arcs
-/// records the rows, and the first set derivation sorts the states by code,
-/// once. Each signal's sets then cost one pass over the sorted states plus
-/// the diagram nodes they build. [`on_off_sets_implicit`] is the one-signal
-/// convenience wrapper. A traversal that enumerates the reachable states
-/// without building the SG fills one with
-/// [`push`](SgClassification::push) instead, in any order.
+/// [`StateGraph::build`] writes one for its states in the same pass that
+/// assigns their codes, and lends it out through
+/// [`StateGraph::classification`]. A traversal that enumerates the
+/// reachable states without building the SG fills one with
+/// [`push`](SgClassification::push) instead, in any order. The first set
+/// derivation sorts the states by code, once; each signal's sets then cost
+/// one pass over the sorted states plus the diagram nodes they build.
+/// [`on_off_sets_implicit`] is the one-signal convenience wrapper.
+#[derive(Debug, Clone)]
 pub struct SgClassification {
     width: usize,
     blocks: usize,
@@ -195,12 +197,6 @@ pub struct SgClassification {
 }
 
 impl SgClassification {
-    /// Sweeps the SG once, recording every state's packed code and excited
-    /// rise/fall signal masks.
-    pub fn new(stg: &Stg, sg: &StateGraph) -> Self {
-        Self::build(stg, sg)
-    }
-
     /// An empty classification over `width` signals, filled one state at a
     /// time with [`push`](Self::push) by a traversal other than the
     /// explicit SG's.
@@ -240,9 +236,51 @@ impl SgClassification {
         self.order.take();
     }
 
+    /// A classification of `codes.len() / blocks` states from its packed
+    /// rows, `blocks = width.div_ceil(64).max(1)` words per state in each.
+    pub(crate) fn from_rows(width: usize, codes: Vec<u64>, rise: Vec<u64>, fall: Vec<u64>) -> Self {
+        let blocks = width.div_ceil(64).max(1);
+        SgClassification {
+            width,
+            blocks,
+            states: codes.len() / blocks,
+            codes,
+            rise,
+            fall,
+            order: OnceLock::new(),
+        }
+    }
+
     /// Number of classified states.
     pub fn len(&self) -> usize {
         self.states
+    }
+
+    /// Number of signals per code.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// State `s`'s packed code: signal `i` at bit `i % 64` of word `i / 64`,
+    /// zero-padded to at least one word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn code_words(&self, s: usize) -> &[u64] {
+        &self.codes[s * self.blocks..(s + 1) * self.blocks]
+    }
+
+    /// The signals with an excited rising change and those with an excited
+    /// falling change at state `s`, packed like
+    /// [`code_words`](Self::code_words).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is out of range.
+    pub fn excited_words(&self, s: usize) -> (&[u64], &[u64]) {
+        let rows = s * self.blocks..(s + 1) * self.blocks;
+        (&self.rise[rows.clone()], &self.fall[rows])
     }
 
     /// Returns `true` if no state has been classified.
@@ -325,38 +363,6 @@ impl SgClassification {
         (rise, fall)
     }
 
-    fn build(stg: &Stg, sg: &StateGraph) -> Self {
-        let width = stg.signal_count();
-        let blocks = width.div_ceil(64).max(1);
-        let states = sg.len();
-        let mut codes = vec![0u64; states * blocks];
-        let mut rise = vec![0u64; states * blocks];
-        let mut fall = vec![0u64; states * blocks];
-        for s in 0..states {
-            let base = s * blocks;
-            let words = sg.code(s).words();
-            codes[base..base + words.len()].copy_from_slice(words);
-            for &(t, _) in sg.successors(s) {
-                if let Some(SignalTransition { signal, polarity }) = stg.label(t) {
-                    let (b, m) = (signal.index() / 64, 1u64 << (signal.index() % 64));
-                    match polarity {
-                        Polarity::Rise => rise[base + b] |= m,
-                        Polarity::Fall => fall[base + b] |= m,
-                    }
-                }
-            }
-        }
-        SgClassification {
-            width,
-            blocks,
-            states,
-            codes,
-            rise,
-            fall,
-            order: OnceLock::new(),
-        }
-    }
-
     /// The states in canonical code order, sorted on the first call.
     fn order(&self) -> &[usize] {
         self.order.get_or_init(|| {
@@ -389,9 +395,10 @@ impl SgClassification {
 /// scalable counterpart of [`on_off_sets`]. The point sets are identical
 /// (pinned by the equivalence tests); only the representation differs.
 ///
-/// When deriving sets for many signals of the same SG, prefer
-/// [`synthesize_from_built_sg`], which shares the per-state classification
-/// sweep across signals.
+/// The sets come from the graph's [`StateGraph::classification`], which
+/// was recorded from `stg` when the graph was built, so `stg` itself is
+/// not read. When deriving sets for many signals of the same SG, prefer
+/// [`synthesize_from_built_sg`], which builds them all into one pool.
 ///
 /// # Examples
 ///
@@ -409,8 +416,8 @@ impl SgClassification {
 /// # Ok(())
 /// # }
 /// ```
-pub fn on_off_sets_implicit(stg: &Stg, sg: &StateGraph, signal: SignalId) -> ImplicitOnOffSets {
-    SgClassification::new(stg, sg).on_off_sets(signal)
+pub fn on_off_sets_implicit(_stg: &Stg, sg: &StateGraph, signal: SignalId) -> ImplicitOnOffSets {
+    sg.classification().on_off_sets(signal)
 }
 
 /// The synthesised gate for one signal in the atomic-complex-gate-per-signal
@@ -627,10 +634,10 @@ pub fn check_implementable(stg: &Stg) -> Result<Vec<SignalId>, SgError> {
 /// Like [`synthesize_from_sg`] but reuses an already built state graph
 /// (exposing the intermediate result per C-INTERMEDIATE).
 ///
-/// One shared classification sweep over the SG feeds every signal's
-/// implicit set construction, CSC check and minimisation, so the
-/// per-signal cost tracks the implicit representation size instead of the
-/// state count.
+/// The classification the state graph recorded while it was built
+/// ([`StateGraph::classification`]) feeds every signal's implicit set
+/// construction, CSC check and minimisation, so the per-signal cost tracks
+/// the implicit representation size instead of the state count.
 ///
 /// # Errors
 ///
@@ -643,7 +650,7 @@ pub fn synthesize_from_built_sg(
     options: &SgSynthesisOptions,
 ) -> Result<SgSynthesis, SgError> {
     let signals = check_implementable(stg)?;
-    let class = SgClassification::build(stg, sg);
+    let class = sg.classification();
     // One shared pool for every signal's set construction: states shared
     // between signals collapse into diagram structure once instead of
     // being rebuilt from scratch per signal. The build is sequential
