@@ -12,7 +12,11 @@
 //!   `(lo, hi)`. A growing subtable rehashes only its own level, and
 //!   sifting reads a level's nodes straight from its subtable.
 //! * **Operation caches.** `ite`, `exists` and `and_exists` results are
-//!   memoised in [`Cache`]s: a fixed hash split over plain maps.
+//!   memoised in direct-mapped [`LossyCache`]s: one slot per hash, a
+//!   collision overwrites. Each grows with the node store to one slot per
+//!   4–8 allocated nodes, between [`CACHE_FLOOR`] and [`CACHE_CAP`] slots,
+//!   so cache memory stays a bounded fraction of the pool. An evicted
+//!   result is recomputed to the same canonical node.
 //! * **Cooperative interruption.** Kernels count their steps and every
 //!   [`CHECK_INTERVAL`] steps sample the pool peak and compare the pool
 //!   with the armed limit. Over it, the kernel unwinds with [`Interrupted`],
@@ -22,9 +26,8 @@
 //!   checkpoints.
 
 use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 
-use si_cubes::fx::{FxHasher, FxMap};
+use si_cubes::fx::{FxMap, LossyCache};
 
 /// Terminal node id for the constant 0 function.
 pub(crate) const ZERO: u32 = 0;
@@ -52,52 +55,12 @@ pub(crate) struct Interrupted;
 
 pub(crate) type OpResult = Result<u32, Interrupted>;
 
-/// Maps per operation cache: a growing map rehashes 1/64 of its cache at a
-/// time. One map per cache was measured and raised the peak RSS of the
-/// default `synth` run on `benchmarks/wide_arbiter_16.g` (symbolic engine)
-/// from 126 to 145 MB.
-const CACHE_SHARDS: usize = 64;
-
-/// One memoised operation: `key → result node`, split by a fixed hash of
-/// the key over [`CACHE_SHARDS`] plain maps.
-struct Cache<K> {
-    shards: Box<[FxMap<K, u32>]>,
-}
-
-impl<K: Copy + Eq + Hash> Cache<K> {
-    fn new() -> Self {
-        Cache {
-            shards: (0..CACHE_SHARDS).map(|_| FxMap::default()).collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(key: &K) -> usize {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        ((h.finish() >> 32) as usize) & (CACHE_SHARDS - 1)
-    }
-
-    #[inline]
-    fn get(&self, key: &K) -> Option<u32> {
-        self.shards[Self::shard(key)].get(key).copied()
-    }
-
-    #[inline]
-    fn insert(&mut self, key: K, r: u32) {
-        self.shards[Self::shard(&key)].insert(key, r);
-    }
-
-    fn clear(&mut self) {
-        self.shards.iter_mut().for_each(FxMap::clear);
-    }
-
-    fn retain(&mut self, mut keep: impl FnMut(&K, u32) -> bool) {
-        for shard in self.shards.iter_mut() {
-            shard.retain(|key, r| keep(key, *r));
-        }
-    }
-}
+/// Slots each operation cache starts with (64 KB for the 16-byte `ite`
+/// slots).
+const CACHE_FLOOR: usize = 1 << 12;
+/// Slots an operation cache never grows past (64 MB of `ite` slots, reached
+/// at 16 M allocated nodes).
+const CACHE_CAP: usize = 1 << 22;
 
 /// One node slot: the branch level and the two children.
 #[derive(Clone, Copy)]
@@ -115,9 +78,9 @@ pub(crate) struct Core {
     /// `unique[level]`: `(lo, hi) → id` for every live node at that level.
     /// A level swap moves the lower level's subtable up whole.
     pub(crate) unique: Vec<FxMap<(u32, u32), u32>>,
-    ite_cache: Cache<(u32, u32, u32)>,
-    exists_cache: Cache<(u32, u32)>,
-    and_exists_cache: Cache<(u32, u32, u32)>,
+    ite_cache: LossyCache<(u32, u32, u32)>,
+    exists_cache: LossyCache<(u32, u32)>,
+    and_exists_cache: LossyCache<(u32, u32, u32)>,
     /// Kernel steps since the trip was last armed: one operation attempt.
     steps: u64,
     /// Live-pool size above which kernels trip (`usize::MAX` = disabled).
@@ -129,6 +92,10 @@ pub(crate) struct Core {
 
 impl Core {
     pub(crate) fn new(num_vars: usize) -> Core {
+        Core::with_cache_bounds(num_vars, CACHE_FLOOR, CACHE_CAP)
+    }
+
+    fn with_cache_bounds(num_vars: usize, floor: usize, cap: usize) -> Core {
         let terminal = |id| Node {
             level: TERMINAL_LEVEL,
             lo: id,
@@ -139,9 +106,9 @@ impl Core {
             nodes: vec![terminal(ZERO), terminal(ONE)],
             free: Vec::new(),
             unique: vec![FxMap::default(); num_vars],
-            ite_cache: Cache::new(),
-            exists_cache: Cache::new(),
-            and_exists_cache: Cache::new(),
+            ite_cache: LossyCache::new(floor, cap),
+            exists_cache: LossyCache::new(floor, cap),
+            and_exists_cache: LossyCache::new(floor, cap),
             steps: 0,
             trip_limit: usize::MAX,
             peak_pool: 0,
@@ -269,7 +236,11 @@ impl Core {
                     None => {
                         assert!(self.nodes.len() < MAX_NODES, "BDD node store exhausted");
                         self.nodes.push(node);
-                        (self.nodes.len() - 1) as u32
+                        let allocated = self.nodes.len();
+                        self.ite_cache.fit(allocated);
+                        self.exists_cache.fit(allocated);
+                        self.and_exists_cache.fit(allocated);
+                        (allocated - 1) as u32
                     }
                 };
                 e.insert(id);
@@ -395,7 +366,7 @@ impl Core {
     // Maintenance support: collection and reordering.
     // ------------------------------------------------------------------
 
-    /// Drops every memoised operation result (reordering retires nodes
+    /// Empties every operation-cache slot (reordering retires nodes
     /// without mark information, so selective purging is impossible).
     pub(crate) fn clear_caches(&mut self) {
         self.ite_cache.clear();
@@ -403,7 +374,8 @@ impl Core {
         self.and_exists_cache.clear();
     }
 
-    /// Purges cache entries touching any id for which `dead` holds.
+    /// Empties the cache slots touching any id for which `dead` holds: one
+    /// sweep over each table.
     pub(crate) fn purge_caches(&mut self, dead: impl Fn(u32) -> bool) {
         let alive = |n: u32| !dead(n);
         self.ite_cache
@@ -454,5 +426,72 @@ impl Core {
     /// Number of free-list entries (invariant checking).
     pub(crate) fn free_len(&self) -> usize {
         self.free.len()
+    }
+
+    /// Every node id an operation-cache slot names, operands and results
+    /// alike (invariant checking).
+    pub(crate) fn cached_ids(&self) -> impl Iterator<Item = u32> + '_ {
+        let ite = self
+            .ite_cache
+            .entries()
+            .flat_map(|((f, g, h), r)| [f, g, h, r]);
+        let exists = self
+            .exists_cache
+            .entries()
+            .flat_map(|((f, cube), r)| [f, cube, r]);
+        let and_exists =
+            (self.and_exists_cache.entries()).flat_map(|((f, g, cube), r)| [f, g, cube, r]);
+        ite.chain(exists).chain(and_exists)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::manager::BddManager;
+
+    impl Core {
+        /// A core whose operation caches stay at `slots` slots whatever
+        /// the pool does, so nearly every insert evicts: the tests' way to
+        /// hold a lossy table to exact results.
+        pub(crate) fn with_pinned_caches(num_vars: usize, slots: usize) -> Core {
+            Core::with_cache_bounds(num_vars, slots, slots)
+        }
+
+        /// Slot counts of the `ite`, `exists` and `and_exists` caches.
+        fn cache_slots(&self) -> [usize; 3] {
+            [
+                self.ite_cache.slot_count(),
+                self.exists_cache.slot_count(),
+                self.and_exists_cache.slot_count(),
+            ]
+        }
+    }
+
+    #[test]
+    fn caches_grow_with_the_node_store_within_floor_and_cap() {
+        // Or-ing in a few thousand random 16-literal minterms allocates
+        // tens of thousands of nodes; every cache must track them.
+        let mut mgr = BddManager::new(16);
+        assert_eq!(mgr.core.cache_slots(), [CACHE_FLOOR; 3]);
+        let mut state = 1u32;
+        let mut f = mgr.zero();
+        for _ in 0..3000 {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let lits: Vec<(usize, bool)> =
+                (0..16).map(|v| (v, (state >> (v + 8)) & 1 == 1)).collect();
+            let m = mgr.cube(&lits);
+            f = mgr.or(f, m);
+            let allocated = mgr.core.slot_count();
+            for slots in mgr.core.cache_slots() {
+                assert!(slots <= CACHE_CAP && slots <= CACHE_FLOOR.max(allocated / 4));
+                assert!(slots == CACHE_CAP || allocated <= slots * 8);
+            }
+        }
+        assert!(
+            mgr.core.cache_slots()[0] > CACHE_FLOOR,
+            "the pool outgrew the floor"
+        );
+        assert!(mgr.sat_count(f) <= 3000);
     }
 }

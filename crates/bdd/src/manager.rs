@@ -318,10 +318,10 @@ impl BddManager {
     /// Mark-and-sweep garbage collection: every node unreachable from the
     /// [`protect`](Self::protect)ed roots is unlinked from the unique table
     /// and its slot pushed onto the free list for reuse. Operation-cache
-    /// entries touching a dead id are purged; entries over surviving nodes
-    /// are kept, so cross-call memoisation survives frequent collection
-    /// (the fixpoint drivers rely on this). Returns the number of nodes
-    /// collected.
+    /// slots touching a dead id are emptied; entries over surviving nodes
+    /// stay until a collision evicts them, so cross-call memoisation
+    /// survives frequent collection (the fixpoint drivers rely on this).
+    /// Returns the number of nodes collected.
     ///
     /// Handles to collected nodes become stale — touching one afterwards is
     /// a logic error caught by a debug assertion.
@@ -486,8 +486,10 @@ impl BddManager {
     /// Runs one public operation's kernel to completion: when it trips its
     /// live-node checkpoint, unwind, run the reentrant maintenance pass over
     /// the operation's `operands`, raise the effective limit enough to
-    /// guarantee progress, and retry against the (gc'd, possibly reordered,
-    /// cache-warmed) pool.
+    /// guarantee progress, and retry against the gc'd (possibly reordered)
+    /// pool. Subproblems the interrupted attempt completed are reused only
+    /// where their cache slots survived the collection and later
+    /// collisions; the rest are recomputed.
     fn run_op(&mut self, operands: [u32; 3], kernel: impl Fn(&mut Core) -> OpResult) -> u32 {
         let base_limit = match &self.maint {
             Some(cfg) => cfg.live_limit,
@@ -625,9 +627,10 @@ impl BddManager {
     /// (`lo != hi`), reference only live strictly-deeper children, and are
     /// registered exactly once in the unique table (so no two live nodes
     /// share a `(level, lo, hi)` triple); the free list matches the freed
-    /// slots; the order arrays are a consistent permutation; and every
-    /// protected root is live. Intended for tests and debugging — cost is a
-    /// full pool scan.
+    /// slots; the order arrays are a consistent permutation; every
+    /// protected root is live; and no operation-cache slot names a freed
+    /// node. Intended for tests and debugging — cost is a full pool and
+    /// cache scan.
     pub fn assert_invariants(&self) {
         let len = self.core.slot_count();
         let mut live = 0usize;
@@ -678,6 +681,12 @@ impl BddManager {
             assert!(
                 id <= ONE || self.core.raw(id).0 != FREE,
                 "protected root {id} was collected"
+            );
+        }
+        for id in self.core.cached_ids() {
+            assert!(
+                id <= ONE || self.core.raw(id).0 != FREE,
+                "operation cache names freed node {id}"
             );
         }
     }
@@ -1020,6 +1029,141 @@ mod tests {
         // each) + 8 and = 24 public ites.
         assert_eq!(mgr.op_counts().ite, 24);
         mgr.assert_invariants();
+    }
+
+    impl BddManager {
+        /// A manager over `num_vars` variables in natural order whose
+        /// operation caches stay at `slots` slots.
+        fn with_pinned_caches(num_vars: usize, slots: usize) -> Self {
+            let mut mgr = Self::new(num_vars);
+            mgr.core = Core::with_pinned_caches(num_vars, slots);
+            mgr
+        }
+    }
+
+    /// A linear congruential generator: the random-sequence test's only
+    /// source of choices, so every run replays the same sequence.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((self.0 >> 33) as usize) % bound
+        }
+    }
+
+    /// Point `x` of a truth table over `width` variables: bit `i` of `x`
+    /// is variable `i`.
+    fn bits_of(x: usize, width: usize) -> Vec<bool> {
+        (0..width).map(|i| (x >> i) & 1 == 1).collect()
+    }
+
+    #[test]
+    fn pinned_lossy_caches_keep_every_result_exact() {
+        // Random ite/and/or/diff/exists/and_exists sequences with gc and
+        // sifting interleaved, on managers whose caches are pinned so small
+        // that nearly every insert evicts. Every result is held to a truth
+        // table computed pointwise and to the same sequence replayed on a
+        // fresh default manager; equal functions must share one handle.
+        const VARS: usize = 8;
+        const POINTS: usize = 1 << VARS;
+        let table = |mgr: &BddManager, f: Bdd| -> Vec<bool> {
+            (0..POINTS)
+                .map(|x| mgr.eval(f, &bits_of(x, VARS)))
+                .collect()
+        };
+        let quantify = |t: &[bool], vars: &[usize]| -> Vec<bool> {
+            let mut t = t.to_vec();
+            for &v in vars {
+                t = (0..POINTS).map(|x| t[x] || t[x ^ (1 << v)]).collect();
+            }
+            t
+        };
+        for slots in [1, 16] {
+            let mut rng = Lcg(slots as u64);
+            let mut mgr = BddManager::with_pinned_caches(VARS, slots);
+            let mut fresh = BddManager::new(VARS);
+            // (handle in `mgr`, handle in `fresh`, truth table)
+            let mut values: Vec<(Bdd, Bdd, Vec<bool>)> = Vec::new();
+            for v in 0..VARS {
+                let f = mgr.var(v);
+                mgr.protect(f);
+                let g = fresh.var(v);
+                values.push((f, g, (0..POINTS).map(|x| (x >> v) & 1 == 1).collect()));
+            }
+            for step in 0..400 {
+                let [a, b, c] = [0; 3].map(|_| values[rng.below(values.len())].clone());
+                let vars: Vec<usize> = (0..VARS).filter(|_| rng.below(3) == 0).collect();
+                let (q, fq) = (mgr.cube_vars(&vars), fresh.cube_vars(&vars));
+                let pointwise = |op: fn(bool, bool, bool) -> bool| -> Vec<bool> {
+                    (0..POINTS).map(|x| op(a.2[x], b.2[x], c.2[x])).collect()
+                };
+                let (r, fr, expect) = match rng.below(10) {
+                    0 => (
+                        mgr.ite(a.0, b.0, c.0),
+                        fresh.ite(a.1, b.1, c.1),
+                        pointwise(|f, g, h| if f { g } else { h }),
+                    ),
+                    1 => (
+                        mgr.and(a.0, b.0),
+                        fresh.and(a.1, b.1),
+                        pointwise(|f, g, _| f && g),
+                    ),
+                    2 => (
+                        mgr.or(a.0, b.0),
+                        fresh.or(a.1, b.1),
+                        pointwise(|f, g, _| f || g),
+                    ),
+                    3 => (
+                        mgr.diff(a.0, b.0),
+                        fresh.diff(a.1, b.1),
+                        pointwise(|f, g, _| f && !g),
+                    ),
+                    4 => (
+                        mgr.exists(a.0, q),
+                        fresh.exists(a.1, fq),
+                        quantify(&a.2, &vars),
+                    ),
+                    5 => (
+                        mgr.and_exists(a.0, b.0, q),
+                        fresh.and_exists(a.1, b.1, fq),
+                        quantify(&pointwise(|f, g, _| f && g), &vars),
+                    ),
+                    6 => {
+                        mgr.gc();
+                        mgr.assert_invariants();
+                        continue;
+                    }
+                    7 => {
+                        mgr.reorder_sift(BddManager::DEFAULT_MAX_GROWTH);
+                        mgr.assert_invariants();
+                        continue;
+                    }
+                    _ => {
+                        if values.len() > VARS {
+                            let (f, _, _) = values.swap_remove(rng.below(values.len()));
+                            mgr.unprotect(f);
+                        }
+                        continue;
+                    }
+                };
+                assert_eq!(table(&mgr, r), expect, "slots {slots}, step {step}");
+                assert_eq!(table(&fresh, fr), expect, "slots {slots}, step {step}");
+                for (f, _, t) in &values {
+                    assert_eq!(
+                        *f == r,
+                        *t == expect,
+                        "slots {slots}, step {step}: not canonical"
+                    );
+                }
+                mgr.protect(r);
+                values.push((r, fr, expect));
+            }
+            mgr.assert_invariants();
+        }
     }
 
     #[test]

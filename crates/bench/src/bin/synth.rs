@@ -57,9 +57,13 @@
 //! Exit codes: 0 success, 1 usage or I/O error, 2 parse or synthesis error
 //! (a malformed `.g` file is reported as a structured parse error, never a
 //! panic). In lint mode: 0 when the spec is clean or carries only
-//! warnings/infos, 2 when any error-severity diagnostic fires.
+//! warnings/infos, 2 when any error-severity diagnostic fires. A reader
+//! that closes stdout early (`synth spec.g | head -1`) ends the run with
+//! exit 0.
 
-use std::process::ExitCode;
+use std::fmt;
+use std::io::{self, Write};
+use std::process::{self, ExitCode};
 use std::time::Instant;
 
 use si_bench::secs;
@@ -72,6 +76,32 @@ use si_stg::{parse_g, Stg};
 use si_synthesis::{
     choose_flow, synthesize_from_unfolding, CoverMode, FlowChoice, SynthesisOptions,
 };
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout: the one path all output takes. A reader that closed
+/// the pipe (`synth spec.g | head -1`) has taken all it wants, so the run
+/// ends there with exit 0, where `println!` would panic; any other write
+/// error ends it as an I/O error (exit 1).
+fn emit(args: fmt::Arguments) {
+    let written = {
+        let mut stdout = io::stdout().lock();
+        stdout.write_fmt(args).and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => process::exit(0),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            process::exit(1);
+        }
+    }
+}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Flow {
@@ -245,7 +275,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    println!("{stg}");
+    outln!("{stg}");
     let state_budget = args
         .budget
         .unwrap_or(SgSynthesisOptions::default().state_budget);
@@ -327,8 +357,8 @@ fn run_lint(text: &str, args: &Args) -> ExitCode {
     };
     let lint_time = lint_start.elapsed();
     match args.lint {
-        LintMode::Json => println!("{}", report.to_json()),
-        _ => print!("{}", report.render()),
+        LintMode::Json => outln!("{}", report.to_json()),
+        _ => emit(format_args!("{}", report.render())),
     }
     // The analysis-pass timing goes to stderr so stdout stays exactly the
     // report (greppable text or one JSON object).
@@ -420,20 +450,20 @@ fn run_sg(
         SgEngine::Explicit => "explicit engine",
         SgEngine::Symbolic => "symbolic engine",
     };
-    println!("\nGate equations (SG baseline, {engine_name}):");
+    outln!("\nGate equations (SG baseline, {engine_name}):");
     for gate in &result.gates {
-        println!("  {}", gate.equation(stg));
+        outln!("  {}", gate.equation(stg));
     }
-    println!("\nTiming breakdown (seconds):");
+    outln!("\nTiming breakdown (seconds):");
     if let Some(note) = &auto_note {
-        println!("  auto choice: {note}");
+        outln!("  auto choice: {note}");
     }
-    println!("{:>10} {:>10}", "Phase", "Time");
-    println!("{:>10} {:>10}   ({states})", "reach", secs(reach_time));
+    outln!("{:>10} {:>10}", "Phase", "Time");
+    outln!("{:>10} {:>10}   ({states})", "reach", secs(reach_time));
     if let Some((stats, final_reach_nodes)) = &symbolic_stats {
         // Pool-maintenance slices of the reach phase (already included in
         // the reach row): how much of it went to keeping the pool small.
-        println!(
+        outln!(
             "{:>10} {:>10}   ({} runs, {} nodes freed)",
             "gc",
             secs(stats.gc_time),
@@ -442,7 +472,7 @@ fn run_sg(
         );
         // The checkpoint pool counts garbage not yet collected; the final
         // reachable BDD is the set the fixpoint actually built.
-        println!(
+        outln!(
             "{:>10} {:>10}   ({} runs, checkpoint pool {} nodes, final reach {} nodes)",
             "reorder",
             secs(stats.reorder_time),
@@ -454,25 +484,28 @@ fn run_sg(
         // any machine — the cross-machine perf proxy) plus the
         // mid-operation maintenance figures, which repeat exactly for a
         // given spec and options.
-        println!(
+        outln!(
             "  symbolic ops: ite {} / exists {} \
              (reentrant maintenance {}, peak pool {})",
-            stats.ops.ite, stats.ops.exists, stats.reentrant_maintenance, stats.peak_pool
+            stats.ops.ite,
+            stats.ops.exists,
+            stats.reentrant_maintenance,
+            stats.peak_pool
         );
     }
     if let Some(ext) = extraction_time {
         // Slice of the synth row (already included there): cover
         // extraction's share of the non-reach time.
-        println!("{:>10} {:>10}", "ExtTim", secs(ext));
+        outln!("{:>10} {:>10}", "ExtTim", secs(ext));
     }
-    println!("{:>10} {:>10}", "synth", secs(syn_time));
-    println!(
+    outln!("{:>10} {:>10}", "synth", secs(syn_time));
+    outln!(
         "{:>10} {:>10}   ({} literals)",
         "total",
         secs(reach_time + syn_time),
         result.literal_count()
     );
-    println!(
+    outln!(
         "{:>10} {:>10}   (end-to-end wall clock)",
         "Wall",
         secs(wall_start.elapsed())
@@ -505,9 +538,9 @@ fn run_unfolding(
             return ExitCode::from(2);
         }
     };
-    println!("\nGate equations (unfolding flow):");
+    outln!("\nGate equations (unfolding flow):");
     for gate in &result.gates {
-        println!("  {}", gate.equation(stg));
+        outln!("  {}", gate.equation(stg));
     }
     // SlcTim/RefTim split SynTim into its initial-cover and refinement
     // portions. SlcTim is slice construction and approximation with
@@ -515,15 +548,22 @@ fn run_unfolding(
     // per-signal set builds with --cover exact. Both are CPU time summed
     // over worker tasks, so with --workers > 1 they can exceed the
     // wall-clock SynTim.
-    println!("\nTiming breakdown (seconds, the paper's Table 1 columns):");
+    outln!("\nTiming breakdown (seconds, the paper's Table 1 columns):");
     if let Some(note) = &auto_note {
-        println!("  auto choice: {note}");
+        outln!("  auto choice: {note}");
     }
-    println!(
+    outln!(
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "Events", "UnfTim", "SynTim", "SlcTim", "RefTim", "EspTim", "TotTim", "LitCnt"
+        "Events",
+        "UnfTim",
+        "SynTim",
+        "SlcTim",
+        "RefTim",
+        "EspTim",
+        "TotTim",
+        "LitCnt"
     );
-    println!(
+    outln!(
         "{:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>8}",
         result.events,
         secs(result.timing.unfold),
@@ -534,7 +574,7 @@ fn run_unfolding(
         secs(result.timing.total()),
         result.literal_count()
     );
-    println!(
+    outln!(
         "{:>10} {:>10}   (end-to-end wall clock)",
         "Wall",
         secs(wall_start.elapsed())

@@ -83,10 +83,14 @@ impl Default for SynthesisOptions {
 pub struct SignalGate {
     /// The implemented signal.
     pub signal: SignalId,
-    /// Final (refined or exact) on-set cover.
-    pub on_cover: Cover,
-    /// Final (refined or exact) off-set cover.
-    pub off_cover: Cover,
+    /// Final refined on-set cover. `None` in exact mode, whose on-set is a
+    /// point set minimised without ever becoming a cube list
+    /// ([`exact_side_cover`](crate::exact::exact_side_cover) materialises
+    /// it).
+    pub on_cover: Option<Cover>,
+    /// Final refined off-set cover; `None` in exact mode, like
+    /// [`on_cover`](Self::on_cover).
+    pub off_cover: Option<Cover>,
     /// The minimised SOP implementing the gate (covers the on-set, disjoint
     /// from the off-set).
     pub gate: Cover,
@@ -242,10 +246,9 @@ pub fn synthesize_from_unfolding(
                 witness: Cube::minterm(bits).to_string(),
             });
         }
-        Ok(if entry.minterm_sets {
-            minimize_implicit(pool, *on, *off)
-        } else {
-            minimize(&entry.on_cover, &entry.off_cover)
+        Ok(match &entry.covers {
+            Some((on_cover, off_cover)) => minimize(on_cover, off_cover),
+            None => minimize_implicit(pool, *on, *off),
         })
     });
     let mut gates = Vec::with_capacity(per_signal.len());
@@ -253,10 +256,11 @@ pub fn synthesize_from_unfolding(
     for (entry, gate) in per_signal.into_iter().zip(minimized) {
         slices_time += entry.slices;
         refine_time += entry.refine;
+        let (on_cover, off_cover) = entry.covers.unzip();
         gates.push(SignalGate {
             signal: entry.signal,
-            on_cover: entry.on_cover,
-            off_cover: entry.off_cover,
+            on_cover,
+            off_cover,
             gate: gate?,
             refinement: entry.refinement,
         });
@@ -327,20 +331,18 @@ pub(crate) fn require_csc(
 /// in its slice-building and refinement portions.
 struct DerivedCovers {
     signal: SignalId,
-    on_cover: Cover,
-    off_cover: Cover,
+    /// Approximate mode's `(on, off)` covers: structural cube
+    /// approximations, not minterm sets, so the cube-level minimiser
+    /// consumes them directly. `None` in exact mode, whose sets are minterm
+    /// point sets minimised implicitly (byte-identical to the cube-level
+    /// minimiser on the materialised canonical covers).
+    covers: Option<(Cover, Cover)>,
     refinement: Option<RefinementReport>,
     /// The signal's pool with its on/off point sets, for the final
     /// consistency guard. Behind a [`Mutex`] because the minimisation stage
     /// runs on shared-reference worker tasks (only this signal's task ever
     /// locks it).
     sets: Mutex<(ImplicitPool, ImplicitCover, ImplicitCover)>,
-    /// Exact mode: the sets are minterm point sets, so they are minimised
-    /// implicitly (byte-identical to the cube-level minimiser on the
-    /// materialised canonical covers). Approximate-mode covers are
-    /// structural cube approximations, not minterm sets, so the cube-level
-    /// minimiser consumes the covers directly.
-    minterm_sets: bool,
     slices: Duration,
     refine: Duration,
 }
@@ -360,11 +362,9 @@ impl DerivedCovers {
         let off = pool.cover_set(&off_cover);
         DerivedCovers {
             signal,
-            on_cover,
-            off_cover,
+            covers: Some((on_cover, off_cover)),
             refinement,
             sets: Mutex::new((pool, on, off)),
-            minterm_sets: false,
             slices: Duration::ZERO,
             refine: Duration::ZERO,
         }
@@ -383,18 +383,11 @@ fn exact_covers(
     let (on, off) = states.sets_into(&mut pool, signal);
     let slices = sets_start.elapsed();
     require_csc(stg, &mut pool, signal, on, off)?;
-    // The public covers materialise as the diagram's canonical disjoint-cube
-    // form — the same point sets as `exact_side_cover`'s minterm lists, but
-    // sized by the implicit representation rather than the state count.
-    let on_cover = pool.to_cover(on);
-    let off_cover = pool.to_cover(off);
     Ok(DerivedCovers {
         signal,
-        on_cover,
-        off_cover,
+        covers: None,
         refinement: None,
         sets: Mutex::new((pool, on, off)),
-        minterm_sets: true,
         slices,
         refine: Duration::ZERO,
     })
@@ -513,6 +506,17 @@ pub(crate) mod tests {
         }
     }
 
+    /// `signal`'s exact `(on, off)` minterm covers from the per-slice
+    /// oracle.
+    fn exact_sides(stg: &Stg, unf: &StgUnfolding, signal: SignalId) -> (Cover, Cover) {
+        let budget = SynthesisOptions::default().slice_budget;
+        let side = |value| {
+            let slices = side_slices(unf, signal, value);
+            crate::exact::exact_side_cover(stg, unf, &slices, budget).expect("within budget")
+        };
+        (side(true), side(false))
+    }
+
     #[test]
     fn fig1_exact_matches_paper() {
         let stg = paper_fig1();
@@ -557,20 +561,30 @@ pub(crate) mod tests {
             muller_pipeline(3),
             sequencer(6),
         ] {
+            let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
             for options in [exact_options(), SynthesisOptions::default()] {
                 let result = synthesize_from_unfolding(&stg, &options)
                     .unwrap_or_else(|e| panic!("{} failed: {e}", stg.name()));
                 assert!(!result.gates.is_empty(), "{}", stg.name());
                 for gate in &result.gates {
-                    // The defining correctness property of Definition 2.1.
+                    // The defining correctness property of Definition 2.1,
+                    // on the exact sets whatever covers the mode derived.
+                    let (on, off) = exact_sides(&stg, &unf, gate.signal);
                     assert!(
-                        gate.gate.covers_cover(&gate.on_cover),
+                        gate.gate.covers_cover(&on),
                         "{}: gate does not cover the on-set",
                         stg.name()
                     );
                     assert!(
-                        !gate.gate.intersects(&gate.off_cover),
+                        !gate.gate.intersects(&off),
                         "{}: gate intersects the off-set",
+                        stg.name()
+                    );
+                    // Only approximate mode materialises its covers.
+                    assert_eq!(
+                        gate.on_cover.is_some() && gate.off_cover.is_some(),
+                        options.mode == CoverMode::Approximate,
+                        "{}",
                         stg.name()
                     );
                 }
@@ -584,12 +598,14 @@ pub(crate) mod tests {
         // reachable codes (checked indirectly: both covers contain the exact
         // on-set and avoid the exact off-set).
         let stg = muller_pipeline(2);
+        let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
         let exact = synthesize_from_unfolding(&stg, &exact_options()).expect("ok");
         let approx = synthesize_from_unfolding(&stg, &SynthesisOptions::default()).expect("ok");
         for (e, a) in exact.gates.iter().zip(&approx.gates) {
             assert_eq!(e.signal, a.signal);
-            assert!(a.gate.covers_cover(&e.on_cover));
-            assert!(!a.gate.intersects(&e.off_cover));
+            let (on, off) = exact_sides(&stg, &unf, e.signal);
+            assert!(a.gate.covers_cover(&on));
+            assert!(!a.gate.intersects(&off));
         }
     }
 
@@ -609,27 +625,20 @@ pub(crate) mod tests {
 
     #[test]
     fn implicit_and_explicit_representations_agree_on_suite() {
-        // Exact mode derives and minimises its covers as pooled diagrams.
-        // The explicit reference materialises `exact_side_cover`'s
-        // canonical minterm lists and runs the cube-level minimiser on
-        // them: on every synthesisable suite entry the covers must be the
-        // same point sets and the gates byte-identical.
-        use crate::exact::exact_side_cover;
+        // Exact mode derives and minimises its covers as pooled diagrams and
+        // never materialises them. The explicit reference materialises
+        // `exact_side_cover`'s canonical minterm lists and runs the
+        // cube-level minimiser on them: on every synthesisable suite entry
+        // the gates must be byte-identical.
         use si_stg::suite::synthesisable;
-        let budget = SynthesisOptions::default().slice_budget;
         for stg in synthesisable() {
             let result = synthesize_from_unfolding(&stg, &exact_options())
                 .unwrap_or_else(|e| panic!("{}: {e}", stg.name()));
             let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
             assert_eq!(result.gates.len(), stg.implementable_signals().len());
             for gate in &result.gates {
-                let side = |value| {
-                    let slices = side_slices(&unf, gate.signal, value);
-                    exact_side_cover(&stg, &unf, &slices, budget).expect("within budget")
-                };
-                let (on, off) = (side(true), side(false));
-                assert!(gate.on_cover.covers_cover(&on) && on.covers_cover(&gate.on_cover));
-                assert!(gate.off_cover.covers_cover(&off) && off.covers_cover(&gate.off_cover));
+                assert!(gate.on_cover.is_none() && gate.off_cover.is_none());
+                let (on, off) = exact_sides(&stg, &unf, gate.signal);
                 assert_eq!(
                     gate.gate.cubes(),
                     minimize(&on, &off).cubes(),

@@ -59,7 +59,7 @@ use std::cmp::Ordering;
 use crate::cover::Cover;
 use crate::cube::{Cube, Literal};
 use crate::espresso::canonical_order;
-use crate::fx::{FxMap, FxSet};
+use crate::fx::{FxMap, FxSet, LossyCache};
 use crate::qm::{minimize_exact, QmBudget};
 
 /// Terminal node id for the empty set (constant 0).
@@ -90,29 +90,47 @@ const OP_DIFF: u8 = 2;
 const OP_COFACTOR0: u8 = 3;
 const OP_COFACTOR1: u8 = 4;
 
+/// Slots a pool's operation cache starts with (16 KB): small, because
+/// exact-mode synthesis builds one pool per signal of every run.
+const CACHE_FLOOR: usize = 1 << 10;
+/// Slots a pool's operation cache never grows past (64 MB).
+const CACHE_CAP: usize = 1 << 22;
+
 /// A hash-consed pool of reduced ordered decision-diagram nodes over a
 /// fixed variable width, plus an operation cache.
 ///
 /// Node ids 0 and 1 are the terminals; every other node `(var, lo, hi)` is
 /// unique (`lo != hi`), so equal point sets always share one id and
 /// emptiness / equality tests are O(1).
+///
+/// Set operations and cofactors memoise into a direct-mapped
+/// [`LossyCache`]: a colliding entry is overwritten and its result, if
+/// asked for again, recomputed to the same node. The table starts at 1024
+/// slots and grows with the pool to one slot per 4–8 nodes, so a pool that
+/// stays small never pays for a large table.
 #[derive(Debug, Clone)]
 pub struct ImplicitPool {
     width: usize,
     /// `(var, lo, hi)`; entries 0/1 are terminal placeholders.
     nodes: Vec<(u32, u32, u32)>,
     unique: FxMap<(u32, u32, u32), u32>,
-    cache: FxMap<(u8, u32, u32), u32>,
+    /// `(op, a, b) → result`; every kernel short-circuits before probing
+    /// `(OP_UNION, EMPTY, EMPTY)`, the key that marks an empty slot.
+    cache: LossyCache<(u8, u32, u32)>,
 }
 
 impl ImplicitPool {
     /// Creates a pool over `width` variables.
     pub fn new(width: usize) -> Self {
+        Self::with_cache_bounds(width, CACHE_FLOOR, CACHE_CAP)
+    }
+
+    fn with_cache_bounds(width: usize, floor: usize, cap: usize) -> Self {
         ImplicitPool {
             width,
             nodes: vec![(u32::MAX, 0, 0), (u32::MAX, 1, 1)],
             unique: FxMap::default(),
-            cache: FxMap::default(),
+            cache: LossyCache::new(floor, cap),
         }
     }
 
@@ -156,6 +174,7 @@ impl ImplicitPool {
         let id = self.nodes.len() as u32;
         self.nodes.push(key);
         self.unique.insert(key, id);
+        self.cache.fit(self.nodes.len());
         id
     }
 
@@ -211,7 +230,7 @@ impl ImplicitPool {
         } else {
             (op, a, b)
         };
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return r;
         }
         let var = self.var_of(a).min(self.var_of(b));
@@ -301,7 +320,7 @@ impl ImplicitPool {
             return n;
         }
         let key = (op, n, var);
-        if let Some(&r) = self.cache.get(&key) {
+        if let Some(r) = self.cache.get(&key) {
             return r;
         }
         let (v, lo, hi) = self.nodes[n as usize];
@@ -1015,6 +1034,110 @@ mod tests {
             assert_eq!(p.intersects(ms, i), ia && ib, "{bits:?} intersect");
             assert_eq!(p.intersects(ms, d), ia && !ib, "{bits:?} diff");
             assert_eq!(p.intersects(ms, n), !ia, "{bits:?} complement");
+        }
+    }
+
+    impl ImplicitPool {
+        /// A pool whose operation cache stays at `slots` slots however the
+        /// pool grows, so nearly every insert evicts: the tests' way to
+        /// hold a lossy table to exact results.
+        fn with_pinned_cache(width: usize, slots: usize) -> Self {
+            Self::with_cache_bounds(width, slots, slots)
+        }
+    }
+
+    /// Membership of point `x` (bit `i` is variable `i`) in `set`, read off
+    /// the diagram without touching the pool's cache.
+    fn contains(pool: &ImplicitPool, set: ImplicitCover, x: usize) -> bool {
+        let mut n = set.0;
+        while n > FULL {
+            let (var, lo, hi) = pool.nodes[n as usize];
+            n = if (x >> var) & 1 == 1 { hi } else { lo };
+        }
+        n == FULL
+    }
+
+    #[test]
+    fn pinned_lossy_cache_keeps_every_result_exact() {
+        // Random union/intersect/diff/cofactor sequences on a pool whose
+        // cache is pinned so small that nearly every insert evicts. Every
+        // result is held to a truth table computed pointwise and to the
+        // same sequence replayed on a fresh default pool. Nothing is ever
+        // freed, so a recomputed result allocates nothing and the two
+        // pools hand out identical ids.
+        const WIDTH: usize = 8;
+        const POINTS: usize = 1 << WIDTH;
+        let mut rng = 0x5eed_u64;
+        let mut below = |bound: usize| {
+            rng = rng
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((rng >> 33) as usize) % bound
+        };
+        for slots in [1, 16] {
+            let mut pinned = ImplicitPool::with_pinned_cache(WIDTH, slots);
+            let mut fresh = ImplicitPool::new(WIDTH);
+            let mut values: Vec<(ImplicitCover, Vec<bool>)> = Vec::new();
+            for var in 0..WIDTH {
+                for (literal, bit) in [(Literal::Zero, false), (Literal::One, true)] {
+                    let mut cube = Cube::full(WIDTH);
+                    cube.set(var, literal);
+                    let set = pinned.cube_set(&cube);
+                    assert_eq!(fresh.cube_set(&cube), set);
+                    values.push((
+                        set,
+                        (0..POINTS).map(|x| ((x >> var) & 1 == 1) == bit).collect(),
+                    ));
+                }
+            }
+            for step in 0..600 {
+                let (a, ta) = values[below(values.len())].clone();
+                let (b, tb) = values[below(values.len())].clone();
+                let pointwise = |op: fn(bool, bool) -> bool| -> Vec<bool> {
+                    (0..POINTS).map(|x| op(ta[x], tb[x])).collect()
+                };
+                let (r, fr, expect) = match below(4) {
+                    0 => (
+                        pinned.union(a, b),
+                        fresh.union(a, b),
+                        pointwise(|x, y| x || y),
+                    ),
+                    1 => (
+                        pinned.intersect(a, b),
+                        fresh.intersect(a, b),
+                        pointwise(|x, y| x && y),
+                    ),
+                    2 => (
+                        pinned.diff(a, b),
+                        fresh.diff(a, b),
+                        pointwise(|x, y| x && !y),
+                    ),
+                    _ => {
+                        let (var, value) = (below(WIDTH), below(2));
+                        let fixed = |x: usize| (x & !(1 << var)) | (value << var);
+                        (
+                            pinned.cofactor(a, var, value == 1),
+                            fresh.cofactor(a, var, value == 1),
+                            (0..POINTS).map(|x| ta[fixed(x)]).collect(),
+                        )
+                    }
+                };
+                assert_eq!(r, fr, "slots {slots}, step {step}: pools diverged");
+                for (x, &member) in expect.iter().enumerate() {
+                    assert_eq!(
+                        contains(&pinned, r, x),
+                        member,
+                        "slots {slots}, step {step}"
+                    );
+                }
+                for (set, table) in &values {
+                    assert_eq!(*set == r, *table == expect, "slots {slots}, step {step}");
+                }
+                if values.len() > 64 {
+                    values.swap_remove(below(values.len()));
+                }
+                values.push((r, expect));
+            }
         }
     }
 

@@ -289,8 +289,8 @@ impl StgBuilder {
     pub fn arc_tt(&mut self, from: TransitionId, to: TransitionId) -> PlaceId {
         let name = format!(
             "<{},{}>",
-            self.net.transition_name(from).to_owned(),
-            self.net.transition_name(to).to_owned()
+            self.net.transition_name(from),
+            self.net.transition_name(to)
         );
         let p = self.net.add_place(name);
         self.net.add_arc_tp(from, p);

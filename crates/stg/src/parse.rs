@@ -150,8 +150,8 @@ struct Parser {
     transitions: HashMap<String, TransitionId>,
     /// Explicit place name → place id.
     places: HashMap<String, PlaceId>,
-    /// `(source token, target token)` → implicit place id.
-    implicit: HashMap<(String, String), PlaceId>,
+    /// `(source, target)` transition → implicit place id.
+    implicit: HashMap<(TransitionId, TransitionId), PlaceId>,
     dummies: HashSet<String>,
     saw_marking: bool,
     initial: HashMap<String, bool>,
@@ -369,8 +369,7 @@ impl Parser {
                 let to = self.transition(line_no, dst)?;
                 let place = self.builder.arc_tt(from, to);
                 SourceSpans::note(&mut self.spans.places, place.index(), line_no);
-                self.implicit
-                    .insert((src.to_owned(), dst.to_owned()), place);
+                self.implicit.insert((from, to), place);
             }
             (true, false) => {
                 let from = self.transition(line_no, src)?;
@@ -452,8 +451,11 @@ impl Parser {
                     )
                 })?;
                 let (a, b) = (a.trim(), b.trim());
-                let key = (a.to_owned(), b.to_owned());
-                let place = self.implicit.get(&key).copied().ok_or_else(|| {
+                let place = match (self.transitions.get(a), self.transitions.get(b)) {
+                    (Some(&from), Some(&to)) => self.implicit.get(&(from, to)).copied(),
+                    _ => None,
+                }
+                .ok_or_else(|| {
                     Self::err(
                         line_no,
                         format!("no implicit place between `{a}` and `{b}`"),

@@ -9,6 +9,8 @@ use si_synth::stategraph::{
 };
 use si_synth::stg::suite::{synthesisable, vme_read_no_csc};
 use si_synth::stg::{generators, Stg};
+use si_synth::synthesis::exact::exact_side_cover;
+use si_synth::synthesis::slice::side_slices;
 use si_synth::synthesis::{
     synthesize_from_unfolding, verify_against_sg, CoverMode, SynthesisError, SynthesisOptions,
 };
@@ -252,9 +254,16 @@ fn exact_mode_matches_paper_worked_example_end_to_end() {
     let result = synthesize_from_unfolding(&stg, &exact()).expect("ok");
     let gate = &result.gates[0];
     assert_eq!(gate.equation(&stg), "b = a + c");
-    // The off-set cover is a̅c̅ (two codes 000 and 010).
+    // Exact mode keeps its sets implicit; the per-slice oracle materialises
+    // them. The off-set cover is a̅c̅ (two codes 000 and 010).
+    assert!(gate.on_cover.is_none() && gate.off_cover.is_none());
+    let unf = StgUnfolding::build(&stg, &UnfoldingOptions::default()).expect("builds");
+    let side = |value| {
+        let slices = side_slices(&unf, gate.signal, value);
+        exact_side_cover(&stg, &unf, &slices, 10_000).expect("within budget")
+    };
     let names: Vec<&str> = stg.signals().map(|s| stg.signal_name(s)).collect();
-    let off = si_synth::cubes::minimize(&gate.off_cover, &gate.on_cover);
+    let off = si_synth::cubes::minimize(&side(false), &side(true));
     assert_eq!(off.to_expression_string(&names), "a' c'");
 }
 
