@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use si_bench::secs;
 use si_cubes::{minimize, minimize_exact, minimize_implicit, QmBudget};
-use si_stategraph::{on_off_sets, on_off_sets_implicit, StateGraph};
+use si_stategraph::{on_off_sets, StateGraph};
 use si_stg::suite::synthesisable;
 
 fn main() {
@@ -50,7 +50,7 @@ fn main() {
             // The implicit path re-derives the sets too: its win is never
             // materialising one cube per state in the first place.
             let start = Instant::now();
-            let mut implicit = on_off_sets_implicit(&stg, &sg, signal);
+            let mut implicit = sg.classification().on_off_sets(signal);
             let (on, off) = (implicit.on(), implicit.off());
             let i = minimize_implicit(implicit.pool_mut(), on, off);
             implicit_time += start.elapsed().as_secs_f64();

@@ -11,7 +11,8 @@
 //!   + refinement flow (design-choice ablation);
 //! * `ablation_orders` — McMillan vs ERV cutoff orders (segment sizes).
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! Per-layer timings of every flow come from the `sibench` benchmark
+//! worker's trace (`sibench/`), not from micro-benchmarks.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

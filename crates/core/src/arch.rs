@@ -10,12 +10,13 @@
 
 use si_cubes::implicit::ImplicitPool;
 use si_cubes::{minimize_implicit, Cover};
+use si_stategraph::require_csc;
 use si_stg::{SignalId, Stg};
 use si_unfolding::{StgUnfolding, UnfoldingOptions};
 
 use crate::error::SynthesisError;
 use crate::exact::classify_reachable;
-use crate::synth::{implementable_signals, require_csc, require_persistency};
+use crate::synth::{csc_violation, implementable_signals, require_persistency};
 
 /// The memory element guarding an excitation-function implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +97,7 @@ pub fn synthesize_excitation_functions(
     for signal in signals {
         let mut pool = ImplicitPool::new(stg.signal_count());
         let (on, off) = states.sets_into(&mut pool, signal);
-        require_csc(stg, &mut pool, signal, on, off)?;
+        require_csc(stg, &mut pool, signal, on, off).map_err(csc_violation)?;
         let (er_on, er_off) = states.excitation_sets_into(&mut pool, signal);
         // Set must hit every ER(+a) state and no off-set state; it may
         // stretch over the rest of the on-set (where the latch holds 1

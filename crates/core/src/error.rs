@@ -39,12 +39,14 @@ pub enum SynthesisError {
         /// The configured budget.
         budget: usize,
     },
-    /// The derived on- and off-set covers handed to the minimiser overlap
-    /// even though derivation reported them disjoint — an internal
-    /// consistency failure. Unlike [`SynthesisError::CscViolation`] (a
-    /// property of the specification), this indicates a bug in cover
-    /// derivation, and it is checked in release builds too: minimising an
-    /// inconsistent partition would silently return garbage gates.
+    /// Approximate mode only: the derived on- and off-set covers handed to
+    /// the minimiser overlap even though refinement reported them disjoint
+    /// — an internal consistency failure. Unlike
+    /// [`SynthesisError::CscViolation`] (a property of the specification),
+    /// this indicates a bug in cover derivation, and it is checked in
+    /// release builds too: minimising an inconsistent partition would
+    /// silently return garbage gates. Exact mode's point sets go through
+    /// the CSC check alone, which already proves them disjoint.
     InconsistentCovers {
         /// The affected signal.
         signal: String,

@@ -2,13 +2,12 @@
 //! paper's Figure 5, producing an atomic-complex-gate-per-signal
 //! implementation with the timing breakdown reported in Table 1.
 
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use si_cubes::implicit::{ImplicitCover, ImplicitPool};
+use si_cubes::implicit::ImplicitPool;
 use si_cubes::par::par_map;
-use si_cubes::{minimize, minimize_implicit, Cover, Cube};
-use si_stategraph::SgClassification;
+use si_cubes::{minimize, Cover, Cube};
+use si_stategraph::{synthesize_from_classification, SgError, SgSynthesisOptions};
 use si_stg::{SignalId, Stg};
 use si_unfolding::{check_segment_persistency, StgUnfolding, UnfoldingOptions};
 
@@ -121,19 +120,25 @@ impl SignalGate {
 pub struct TimingBreakdown {
     /// `UnfTim`: constructing the STG-unfolding segment.
     pub unfold: Duration,
-    /// `SynTim`: deriving the on-/off-set covers (wall clock).
+    /// `SynTim`: deriving the on-/off-set covers (wall clock). In exact
+    /// mode, the one walk over the segment that classifies every reachable
+    /// state.
     pub derive: Duration,
     /// Portion of the derivation spent building the initial covers: in
-    /// approximate mode the slices and their ER/MR approximations, in exact
-    /// mode the one walk over the segment plus each signal's on/off-set
-    /// build. Summed over the per-signal worker tasks — CPU time, so it can
-    /// exceed the wall-clock `derive` when workers run in parallel.
+    /// approximate mode the slices and their ER/MR approximations, summed
+    /// over the per-signal worker tasks — CPU time, so it can exceed the
+    /// wall-clock `derive` when workers run in parallel. In exact mode, the
+    /// walk again (equal to `derive`).
     pub slices: Duration,
     /// Portion of the derivation spent making the covers disjoint (the
-    /// refinement loop, exact escalations and §6 weak-condition probes),
-    /// summed over the per-signal worker tasks like [`slices`](Self::slices).
+    /// refinement loop, exact escalations, §6 weak-condition probes and the
+    /// final consistency guard), summed over the per-signal worker tasks
+    /// like [`slices`](Self::slices). Zero in exact mode.
     pub refine: Duration,
-    /// `EspTim`: two-level minimisation.
+    /// `EspTim`: two-level minimisation (wall clock). In exact mode, the SG
+    /// baseline's per-signal routine
+    /// ([`si_stategraph::synthesize_from_classification`]): each signal's
+    /// on/off-set build, CSC check and minimisation.
     pub minimize: Duration,
 }
 
@@ -168,6 +173,13 @@ impl UnfoldingSynthesis {
 /// Synthesises every implementable signal of `stg` from its unfolding
 /// segment (the paper's "PUNT ACG" flow).
 ///
+/// In [`CoverMode::Exact`] this is the SG baseline over a second state
+/// source: one walk over the segment classifies every reachable state
+/// ([`classify_reachable`](crate::exact::classify_reachable)), and
+/// [`si_stategraph::synthesize_from_classification`] takes that
+/// classification to gates with the baseline's default
+/// [`SgSynthesisOptions`] at these `workers`.
+///
 /// # Errors
 ///
 /// * [`SynthesisError::Unfold`] if the segment cannot be built;
@@ -179,7 +191,10 @@ impl UnfoldingSynthesis {
 ///   since the walk precedes every signal's check), or if one of
 ///   approximate mode's exact fallbacks does within its slice;
 /// * [`SynthesisError::CscViolation`] if some signal's covers intersect
-///   even after exact derivation.
+///   even after exact derivation (in exact mode the witness is the
+///   canonically smallest shared code, as in the SG baseline);
+/// * [`SynthesisError::InconsistentCovers`] if approximate mode's
+///   derivation reports disjoint covers that overlap.
 ///
 /// # Examples
 ///
@@ -203,82 +218,103 @@ pub fn synthesize_from_unfolding(
     let unfold = start.elapsed();
 
     require_persistency(stg, &unf)?;
-    let derive_start = Instant::now();
     let signals = implementable_signals(stg)?;
-    // Exact mode classifies every reachable state once, up front; each
-    // signal's sets are then built from that shared classification.
-    let (states, walk) = match options.mode {
-        CoverMode::Exact => {
-            let walk_start = Instant::now();
-            let states = classify_reachable(stg, &unf, options.slice_budget)?;
-            (Some(states), walk_start.elapsed())
-        }
-        CoverMode::Approximate => (None, Duration::ZERO),
+    let (gates, timing) = match options.mode {
+        CoverMode::Exact => exact_gates(stg, &unf, &signals, options)?,
+        CoverMode::Approximate => approximate_gates(stg, &unf, &signals, options)?,
     };
-    // Derive every signal's covers on the worker pool. Results come back in
-    // signal order, so on failure the reported error is the same one the
-    // sequential loop would have hit first.
-    let mut per_signal = Vec::with_capacity(signals.len());
-    for derived in par_map(&signals, options.workers, |_, &signal| match &states {
-        Some(states) => exact_covers(stg, states, signal),
-        None => approximate_covers(stg, &unf, signal, options),
-    }) {
-        per_signal.push(derived?);
-    }
+    Ok(UnfoldingSynthesis {
+        gates,
+        timing: TimingBreakdown { unfold, ..timing },
+        events: unf.event_count(),
+        conditions: unf.condition_count(),
+    })
+}
+
+/// Exact mode: one walk over the segment classifies every reachable state
+/// (`derive`, `slices`), then the SG baseline's per-signal routine takes
+/// that classification to gates (`minimize`): set builds, CSC check and
+/// minimisation, with the baseline's default options.
+fn exact_gates(
+    stg: &Stg,
+    unf: &StgUnfolding,
+    signals: &[SignalId],
+    options: &SynthesisOptions,
+) -> Result<(Vec<SignalGate>, TimingBreakdown), SynthesisError> {
+    let walk_start = Instant::now();
+    let states = classify_reachable(stg, unf, options.slice_budget)?;
+    let walk = walk_start.elapsed();
+    let min_start = Instant::now();
+    let sg_options = SgSynthesisOptions {
+        workers: options.workers,
+        ..SgSynthesisOptions::default()
+    };
+    let result = synthesize_from_classification(stg, &states, signals, &sg_options)
+        .map_err(csc_violation)?;
+    let gates = result
+        .gates
+        .into_iter()
+        .map(|g| SignalGate {
+            signal: g.signal,
+            on_cover: None,
+            off_cover: None,
+            gate: g.cover,
+            refinement: None,
+        })
+        .collect();
+    let timing = TimingBreakdown {
+        derive: walk,
+        slices: walk,
+        minimize: min_start.elapsed(),
+        ..TimingBreakdown::default()
+    };
+    Ok((gates, timing))
+}
+
+/// Approximate mode: every signal's covers from its slices, refined until
+/// disjoint, then minimised cube by cube, each stage on the worker pool.
+/// Results come back in signal order, so on failure the reported error is
+/// the same one the sequential loop would have hit first.
+fn approximate_gates(
+    stg: &Stg,
+    unf: &StgUnfolding,
+    signals: &[SignalId],
+    options: &SynthesisOptions,
+) -> Result<(Vec<SignalGate>, TimingBreakdown), SynthesisError> {
+    let derive_start = Instant::now();
+    let per_signal = par_map(signals, options.workers, |_, &signal| {
+        approximate_covers(stg, unf, signal, options)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     let derive = derive_start.elapsed();
 
     let min_start = Instant::now();
     let minimized = par_map(&per_signal, options.workers, |_, entry| {
-        // Derivation promised disjoint covers; re-check in release builds
-        // too, because minimising an inconsistent partition returns
-        // garbage. A poisoned lock only means another signal's worker
-        // panicked; this signal's pool is still internally consistent, so
-        // keep going.
-        let mut guard = match entry.sets.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        let (pool, on, off) = &mut *guard;
-        let shared = pool.intersect(*on, *off);
-        if let Some(bits) = pool.first_minterm(shared) {
-            return Err(SynthesisError::InconsistentCovers {
-                signal: stg.signal_name(entry.signal).to_owned(),
-                witness: Cube::minterm(bits).to_string(),
-            });
-        }
-        Ok(match &entry.covers {
-            Some((on_cover, off_cover)) => minimize(on_cover, off_cover),
-            None => minimize_implicit(pool, *on, *off),
-        })
+        minimize(&entry.covers.0, &entry.covers.1)
     });
     let mut gates = Vec::with_capacity(per_signal.len());
-    let (mut slices_time, mut refine_time) = (walk, Duration::ZERO);
+    let (mut slices, mut refine) = (Duration::ZERO, Duration::ZERO);
     for (entry, gate) in per_signal.into_iter().zip(minimized) {
-        slices_time += entry.slices;
-        refine_time += entry.refine;
-        let (on_cover, off_cover) = entry.covers.unzip();
+        slices += entry.slices;
+        refine += entry.refine;
+        let (on_cover, off_cover) = entry.covers;
         gates.push(SignalGate {
             signal: entry.signal,
-            on_cover,
-            off_cover,
-            gate: gate?,
+            on_cover: Some(on_cover),
+            off_cover: Some(off_cover),
+            gate,
             refinement: entry.refinement,
         });
     }
-    let minimize_time = min_start.elapsed();
-
-    Ok(UnfoldingSynthesis {
-        gates,
-        timing: TimingBreakdown {
-            unfold,
-            derive,
-            slices: slices_time,
-            refine: refine_time,
-            minimize: minimize_time,
-        },
-        events: unf.event_count(),
-        conditions: unf.condition_count(),
-    })
+    let timing = TimingBreakdown {
+        derive,
+        slices,
+        refine,
+        minimize: min_start.elapsed(),
+        ..TimingBreakdown::default()
+    };
+    Ok((gates, timing))
 }
 
 /// Refinement steps per signal before the loop escalates the conflicting
@@ -308,89 +344,60 @@ pub(crate) fn implementable_signals(stg: &Stg) -> Result<Vec<SignalId>, Synthesi
     }
 }
 
-/// Fails with [`SynthesisError::CscViolation`] when `signal`'s on- and
-/// off-sets share a code, naming the canonically smallest shared code.
-pub(crate) fn require_csc(
-    stg: &Stg,
-    pool: &mut ImplicitPool,
-    signal: SignalId,
-    on: ImplicitCover,
-    off: ImplicitCover,
-) -> Result<(), SynthesisError> {
-    let shared = pool.intersect(on, off);
-    match pool.first_minterm(shared) {
-        Some(bits) => Err(SynthesisError::CscViolation {
-            signal: stg.signal_name(signal).to_owned(),
-            witness: Cube::minterm(bits).to_string(),
-        }),
-        None => Ok(()),
+/// Carries the per-signal routine's CSC witness over into this crate's
+/// error; the routine fails on nothing else.
+pub(crate) fn csc_violation(e: SgError) -> SynthesisError {
+    match e {
+        SgError::CscViolation { signal, code } => SynthesisError::CscViolation {
+            signal,
+            witness: code,
+        },
+        other => unreachable!("the per-signal routine fails only on CSC: {other}"),
     }
 }
 
-/// The per-signal output of the derivation stage, with the CPU time spent
-/// in its slice-building and refinement portions.
+/// Approximate mode's per-signal output of the derivation stage, with the
+/// CPU time spent in its slice-building and refinement portions.
 struct DerivedCovers {
     signal: SignalId,
-    /// Approximate mode's `(on, off)` covers: structural cube
-    /// approximations, not minterm sets, so the cube-level minimiser
-    /// consumes them directly. `None` in exact mode, whose sets are minterm
-    /// point sets minimised implicitly (byte-identical to the cube-level
-    /// minimiser on the materialised canonical covers).
-    covers: Option<(Cover, Cover)>,
+    /// The `(on, off)` covers: structural cube approximations, not minterm
+    /// sets, so the cube-level minimiser consumes them directly.
+    covers: (Cover, Cover),
     refinement: Option<RefinementReport>,
-    /// The signal's pool with its on/off point sets, for the final
-    /// consistency guard. Behind a [`Mutex`] because the minimisation stage
-    /// runs on shared-reference worker tasks (only this signal's task ever
-    /// locks it).
-    sets: Mutex<(ImplicitPool, ImplicitCover, ImplicitCover)>,
     slices: Duration,
     refine: Duration,
 }
 
 impl DerivedCovers {
-    /// Approximate-mode covers, with their point sets pooled in `pool` for
-    /// the final guard. The timing fields are zero — the caller stamps
-    /// them.
-    fn approximate(
+    /// Checked covers. Derivation promised them disjoint; re-check their
+    /// point sets in `pool` in release builds too, because minimising an
+    /// inconsistent partition returns garbage. The timing fields are zero —
+    /// the caller stamps them.
+    fn checked(
+        stg: &Stg,
         signal: SignalId,
         mut pool: ImplicitPool,
         on_cover: Cover,
         off_cover: Cover,
         refinement: Option<RefinementReport>,
-    ) -> Self {
+    ) -> Result<Self, SynthesisError> {
         let on = pool.cover_set(&on_cover);
         let off = pool.cover_set(&off_cover);
-        DerivedCovers {
+        let shared = pool.intersect(on, off);
+        if let Some(bits) = pool.first_minterm(shared) {
+            return Err(SynthesisError::InconsistentCovers {
+                signal: stg.signal_name(signal).to_owned(),
+                witness: Cube::minterm(bits).to_string(),
+            });
+        }
+        Ok(DerivedCovers {
             signal,
-            covers: Some((on_cover, off_cover)),
+            covers: (on_cover, off_cover),
             refinement,
-            sets: Mutex::new((pool, on, off)),
             slices: Duration::ZERO,
             refine: Duration::ZERO,
-        }
+        })
     }
-}
-
-/// Exact mode: builds one signal's on/off point sets from the shared
-/// classification of every reachable state and checks them for CSC.
-fn exact_covers(
-    stg: &Stg,
-    states: &SgClassification,
-    signal: SignalId,
-) -> Result<DerivedCovers, SynthesisError> {
-    let sets_start = Instant::now();
-    let mut pool = ImplicitPool::new(stg.signal_count());
-    let (on, off) = states.sets_into(&mut pool, signal);
-    let slices = sets_start.elapsed();
-    require_csc(stg, &mut pool, signal, on, off)?;
-    Ok(DerivedCovers {
-        signal,
-        covers: None,
-        refinement: None,
-        sets: Mutex::new((pool, on, off)),
-        slices,
-        refine: Duration::ZERO,
-    })
 }
 
 /// Approximate mode: derives one signal's final, checked on-/off-set covers
@@ -416,7 +423,7 @@ fn approximate_covers(
         let on = side_cover(&on_atoms, unf.signal_count());
         let off = side_cover(&off_atoms, unf.signal_count());
         if let Some((on, off)) = accept_weak(stg, unf, &on_slices, &off_slices, on, off, options) {
-            let covers = DerivedCovers::approximate(signal, pool, on, off, None);
+            let covers = DerivedCovers::checked(stg, signal, pool, on, off, None)?;
             return Ok(DerivedCovers {
                 slices,
                 refine: refine_start.elapsed(),
@@ -440,7 +447,7 @@ fn approximate_covers(
     if !report.disjoint {
         return Err(csc_error(stg, signal, &on, &off));
     }
-    let covers = DerivedCovers::approximate(signal, pool, on, off, Some(report));
+    let covers = DerivedCovers::checked(stg, signal, pool, on, off, Some(report))?;
     Ok(DerivedCovers {
         slices,
         refine: refine_start.elapsed(),

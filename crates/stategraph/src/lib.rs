@@ -43,8 +43,8 @@ pub use props::{check_csc, check_persistency, check_usc, CscConflict, Persistenc
 pub use si_bdd::ReorderPolicy;
 pub use symbolic::{CoverExtraction, OrderSeed, SymbolicSg, SymbolicTuning};
 pub use synth::{
-    check_implementable, on_off_sets, on_off_sets_implicit, synthesize_from_built_sg,
-    synthesize_from_on_off_sets, synthesize_from_sg, synthesize_from_symbolic_sg,
-    GateImplementation, ImplicitOnOffSets, OnOffSets, SgClassification, SgEngine, SgSynthesis,
-    SgSynthesisOptions,
+    check_implementable, on_off_sets, require_csc, synthesize_from_built_sg,
+    synthesize_from_classification, synthesize_from_on_off_sets, synthesize_from_sg,
+    synthesize_from_symbolic_sg, GateImplementation, ImplicitOnOffSets, OnOffSets,
+    SgClassification, SgEngine, SgSynthesis, SgSynthesisOptions,
 };

@@ -554,7 +554,6 @@ fn infer_initial_code(
 mod tests {
     use super::*;
     use crate::graph::StateGraph;
-    use crate::synth::on_off_sets_implicit;
     use si_stg::generators::{muller_pipeline, parallelizer, sequencer};
     use si_stg::suite::{paper_fig1, synthesisable, vme_read_csc};
     use si_stg::StgBuilder;
@@ -591,7 +590,7 @@ mod tests {
             let sg = StateGraph::build(&stg, 1_000_000).expect("explicit builds");
             let sym = sym_build(&stg, BUDGET).expect("symbolic builds");
             for signal in stg.implementable_signals() {
-                let explicit = on_off_sets_implicit(&stg, &sg, signal).to_on_off_sets();
+                let explicit = sg.classification().on_off_sets(signal).to_on_off_sets();
                 let symbolic = sym.on_off_sets(signal).to_on_off_sets();
                 assert_eq!(
                     explicit.on.cubes(),

@@ -176,7 +176,7 @@ impl ImplicitOnOffSets {
 /// [`push`](SgClassification::push) instead, in any order. The first set
 /// derivation sorts the states by code, once; each signal's sets then cost
 /// one pass over the sorted states plus the diagram nodes they build.
-/// [`on_off_sets_implicit`] is the one-signal convenience wrapper.
+/// [`synthesize_from_classification`] takes a classification to gates.
 #[derive(Debug, Clone)]
 pub struct SgClassification {
     width: usize,
@@ -191,8 +191,9 @@ pub struct SgClassification {
     /// The states in canonical code order ([`cmp_minterm_rows`]), sorted
     /// on first use, so every signal's on/off rows reach
     /// [`ImplicitPool::from_minterms`] already in the order it builds from.
-    /// A lock rather than a cell, because the unfolding flow derives its
-    /// signals' sets from one classification on several workers.
+    /// A lock rather than a cell, because
+    /// [`synthesize_from_classification`] derives its signals' sets from
+    /// one classification on several workers.
     order: OnceLock<Vec<usize>>,
 }
 
@@ -288,9 +289,28 @@ impl SgClassification {
         self.states == 0
     }
 
-    /// The implicit on/off sets of `signal`, derived from the shared sweep.
+    /// The implicit on/off sets of `signal` in a pool of their own, built
+    /// with [`sets_into`](Self::sets_into).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use si_stg::suite::paper_fig1;
+    /// use si_stategraph::StateGraph;
+    ///
+    /// # fn main() -> Result<(), si_stategraph::SgError> {
+    /// let stg = paper_fig1();
+    /// let sg = StateGraph::build(&stg, 10_000)?;
+    /// let b = stg.signal_by_name("b").expect("signal b");
+    /// let sets = sg.classification().on_off_sets(b);
+    /// assert_eq!(sets.pool().count(sets.on()), 6); // On(b): 6 codes
+    /// assert_eq!(sets.pool().count(sets.off()), 2); // Off(b) = {010, 000}
+    /// # Ok(())
+    /// # }
+    /// ```
     pub fn on_off_sets(&self, signal: SignalId) -> ImplicitOnOffSets {
-        let (pool, on, off) = self.sets_for(signal);
+        let mut pool = ImplicitPool::new(self.width);
+        let (on, off) = self.sets_into(&mut pool, signal);
         ImplicitOnOffSets {
             signal,
             pool,
@@ -299,12 +319,12 @@ impl SgClassification {
         }
     }
 
-    /// Builds `signal`'s implicit on/off sets into a caller-held pool —
-    /// the batch form of [`on_off_sets`](Self::on_off_sets): states
-    /// shared between signals collapse into diagram structure **once**
-    /// across the whole batch instead of being rebuilt per signal. Each
-    /// side's rows stream into [`ImplicitPool::from_minterms`] in the
-    /// classification's canonical code order, so the builder never sorts.
+    /// Builds `signal`'s implicit on/off sets into a caller-held pool:
+    /// every state's code goes to the side its *implied* signal value
+    /// selects (excited rise → on, excited fall → off, otherwise the stable
+    /// code bit). Each side's rows stream into
+    /// [`ImplicitPool::from_minterms`] in the classification's canonical
+    /// code order, so the builder never sorts.
     pub fn sets_into(
         &self,
         pool: &mut ImplicitPool,
@@ -379,45 +399,6 @@ impl SgClassification {
             keyed.into_iter().map(|(_, s)| s).collect()
         })
     }
-
-    /// Builds the implicit on/off sets of one signal: every state's code
-    /// goes to the side its *implied* signal value selects (excited rise →
-    /// on, excited fall → off, otherwise the stable code bit), merged into
-    /// the diagram as a bulk batch.
-    fn sets_for(&self, signal: SignalId) -> (ImplicitPool, ImplicitCover, ImplicitCover) {
-        let mut pool = ImplicitPool::new(self.width);
-        let (on, off) = self.sets_into(&mut pool, signal);
-        (pool, on, off)
-    }
-}
-
-/// Computes the exact on/off-sets for `signal` as implicit covers — the
-/// scalable counterpart of [`on_off_sets`]. The point sets are identical
-/// (pinned by the equivalence tests); only the representation differs.
-///
-/// The sets come from the graph's [`StateGraph::classification`], which
-/// was recorded from `stg` when the graph was built, so `stg` itself is
-/// not read. When deriving sets for many signals of the same SG, prefer
-/// [`synthesize_from_built_sg`], which builds them all into one pool.
-///
-/// # Examples
-///
-/// ```
-/// use si_stg::suite::paper_fig1;
-/// use si_stategraph::{on_off_sets_implicit, StateGraph};
-///
-/// # fn main() -> Result<(), si_stategraph::SgError> {
-/// let stg = paper_fig1();
-/// let sg = StateGraph::build(&stg, 10_000)?;
-/// let b = stg.signal_by_name("b").expect("signal b");
-/// let sets = on_off_sets_implicit(&stg, &sg, b);
-/// assert_eq!(sets.pool().count(sets.on()), 6); // On(b): 6 codes
-/// assert_eq!(sets.pool().count(sets.off()), 2); // Off(b) = {010, 000}
-/// # Ok(())
-/// # }
-/// ```
-pub fn on_off_sets_implicit(_stg: &Stg, sg: &StateGraph, signal: SignalId) -> ImplicitOnOffSets {
-    sg.classification().on_off_sets(signal)
 }
 
 /// The synthesised gate for one signal in the atomic-complex-gate-per-signal
@@ -632,12 +613,10 @@ pub fn check_implementable(stg: &Stg) -> Result<Vec<SignalId>, SgError> {
 }
 
 /// Like [`synthesize_from_sg`] but reuses an already built state graph
-/// (exposing the intermediate result per C-INTERMEDIATE).
-///
-/// The classification the state graph recorded while it was built
-/// ([`StateGraph::classification`]) feeds every signal's implicit set
-/// construction, CSC check and minimisation, so the per-signal cost tracks
-/// the implicit representation size instead of the state count.
+/// (exposing the intermediate result per C-INTERMEDIATE): the
+/// constant-signal check, then [`synthesize_from_classification`] on the
+/// classification the graph recorded while it was built
+/// ([`StateGraph::classification`]).
 ///
 /// # Errors
 ///
@@ -650,29 +629,39 @@ pub fn synthesize_from_built_sg(
     options: &SgSynthesisOptions,
 ) -> Result<SgSynthesis, SgError> {
     let signals = check_implementable(stg)?;
-    let class = sg.classification();
-    // One shared pool for every signal's set construction: states shared
-    // between signals collapse into diagram structure once instead of
-    // being rebuilt from scratch per signal. The build is sequential
-    // (deterministic pool), the minimisation parallel over per-signal
-    // carve-outs.
-    let mut shared = ImplicitPool::new(class.width);
-    let handles: Vec<(SignalId, ImplicitCover, ImplicitCover)> = signals
-        .iter()
-        .map(|&signal| {
-            let (on, off) = class.sets_into(&mut shared, signal);
-            (signal, on, off)
-        })
-        .collect();
-    let results = par_map(&handles, options.workers, |_, &(signal, on, off)| {
-        let mut pool = ImplicitPool::new(class.width);
-        let on = pool.copy_set_from(&shared, on);
-        let off = pool.copy_set_from(&shared, off);
-        implement_implicit(
-            stg,
-            ImplicitOnOffSets::from_parts(signal, pool, on, off),
-            options,
-        )
+    synthesize_from_classification(stg, sg.classification(), &signals, options)
+}
+
+/// Synthesises `signals` from a classification of every reachable state:
+/// the one path from an [`SgClassification`] to gates, whether the
+/// explicit state graph recorded it ([`synthesize_from_built_sg`]) or a
+/// walk over an unfolding segment did (exact-mode unfolding synthesis).
+///
+/// On the worker pool ([`workers`]) each signal takes four steps in a
+/// pool of its own: its on/off sets ([`SgClassification::on_off_sets`]),
+/// the CSC check ([`require_csc`]), minimisation (Quine–McCluskey with the
+/// heuristic as its fallback under [`exact_minimization`]) and the choice
+/// of the cheaper polarity under [`allow_inversion`]; no other option is
+/// read. The cost per signal tracks the implicit representation size, not
+/// the state count. Gates come back in the order of `signals`,
+/// bit-identical at any worker count.
+///
+/// [`workers`]: SgSynthesisOptions::workers
+/// [`exact_minimization`]: SgSynthesisOptions::exact_minimization
+/// [`allow_inversion`]: SgSynthesisOptions::allow_inversion
+///
+/// # Errors
+///
+/// [`SgError::CscViolation`] for the first signal, in the order of
+/// `signals`, whose on- and off-sets share a code.
+pub fn synthesize_from_classification(
+    stg: &Stg,
+    class: &SgClassification,
+    signals: &[SignalId],
+    options: &SgSynthesisOptions,
+) -> Result<SgSynthesis, SgError> {
+    let results = par_map(signals, options.workers, |_, &signal| {
+        implement_implicit(stg, class.on_off_sets(signal), options)
     });
     let gates = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(SgSynthesis { gates })
@@ -725,8 +714,33 @@ pub fn synthesize_from_on_off_sets(
     Ok(SgSynthesis { gates })
 }
 
-/// The shared per-signal tail of both implicit-set engines: CSC check on
-/// the implicit sets (canonically smallest shared code as the witness),
+/// Fails with [`SgError::CscViolation`] when `signal`'s on- and off-sets
+/// share a code, naming the canonically smallest shared code as the
+/// witness. The one CSC check of every flow that builds exact point sets:
+/// [`synthesize_from_classification`] and [`synthesize_from_on_off_sets`]
+/// run it per signal, and so does the Set/Reset flow.
+///
+/// # Errors
+///
+/// [`SgError::CscViolation`] if `on` and `off` intersect.
+pub fn require_csc(
+    stg: &Stg,
+    pool: &mut ImplicitPool,
+    signal: SignalId,
+    on: ImplicitCover,
+    off: ImplicitCover,
+) -> Result<(), SgError> {
+    let shared = pool.intersect(on, off);
+    match pool.first_minterm(shared) {
+        Some(bits) => Err(SgError::CscViolation {
+            signal: stg.signal_name(signal).to_owned(),
+            code: Cube::minterm(bits).to_string(),
+        }),
+        None => Ok(()),
+    }
+}
+
+/// The shared per-signal tail of every implicit-set flow: the CSC check,
 /// then minimisation, optionally of the complemented function.
 fn implement_implicit(
     stg: &Stg,
@@ -736,13 +750,7 @@ fn implement_implicit(
     let signal = sets.signal;
     let (on, off) = (sets.on, sets.off);
     let mut pool = sets.pool;
-    let shared = pool.intersect(on, off);
-    if let Some(bits) = pool.first_minterm(shared) {
-        return Err(SgError::CscViolation {
-            signal: stg.signal_name(signal).to_owned(),
-            code: Cube::minterm(bits).to_string(),
-        });
-    }
+    require_csc(stg, &mut pool, signal, on, off)?;
     let run_minimize = |pool: &mut ImplicitPool, on, off| {
         if options.exact_minimization {
             minimize_exact_implicit(pool, on, off, &QmBudget::default())
@@ -890,7 +898,7 @@ mod tests {
             let sg = StateGraph::build(&stg, 100_000).expect("builds");
             for signal in stg.implementable_signals() {
                 let explicit = on_off_sets(&stg, &sg, signal);
-                let implicit = on_off_sets_implicit(&stg, &sg, signal).to_on_off_sets();
+                let implicit = sg.classification().on_off_sets(signal).to_on_off_sets();
                 assert_eq!(
                     explicit.on.cubes(),
                     implicit.on.cubes(),

@@ -11,19 +11,12 @@
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
-use si_cubes::par::par_map;
 use si_petri::{BitSet, Marking, PlaceId, TransitionId};
 use si_stg::{BinaryCode, SignalTransition, Stg};
 
 use crate::comat::CoMatrix;
 use crate::error::UnfoldError;
 use crate::ids::{ConditionId, EventId};
-
-/// Estimated number of co-membership probes below which extension search
-/// runs inline: segment construction is dominated by tiny searches (a few
-/// partner conditions per place), and spawning scoped workers for those
-/// costs more than the search itself.
-const PAR_EXTENSION_THRESHOLD: u64 = 4096;
 
 /// The adequate order used to declare cutoffs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,10 +38,6 @@ pub struct UnfoldingOptions {
     /// Maximum number of events the segment may store, `⊥` included — the
     /// same "max stored" semantics as explicit reachability's state budget.
     pub event_budget: usize,
-    /// Worker threads for possible-extension enumeration (`None` = one per
-    /// available CPU). Output is byte-identical at any worker count; small
-    /// searches run inline regardless.
-    pub workers: Option<usize>,
 }
 
 impl Default for UnfoldingOptions {
@@ -56,7 +45,6 @@ impl Default for UnfoldingOptions {
         UnfoldingOptions {
             order: AdequateOrder::McMillan,
             event_budget: 200_000,
-            workers: None,
         }
     }
 }
@@ -212,7 +200,6 @@ impl StgUnfolding {
             reps: HashMap::new(),
             order: options.order,
             budget: options.event_budget,
-            workers: options.workers,
             v0: &mut v0,
         };
         builder.add_root()?;
@@ -271,7 +258,6 @@ struct Builder<'a> {
     reps: HashMap<Marking, EventId>,
     order: AdequateOrder,
     budget: usize,
-    workers: Option<usize>,
     v0: &'a mut Vec<Option<bool>>,
 }
 
@@ -558,57 +544,18 @@ impl Builder<'_> {
     /// otherwise only conditions with smaller ids (so each co-set is
     /// generated exactly once) — `earlier_siblings` are same-postset
     /// conditions created before `b_new` that are allowed as partners.
-    ///
-    /// Enumeration over the consuming transitions is a pure read of the
-    /// segment, so when the estimated search is large enough it fans out on
-    /// the shared scoped worker pool; results are merged back in transition
-    /// order, making the queued candidate set — and therefore the whole
-    /// segment — byte-identical at any worker count.
+    /// Candidates are queued in the order of the place's consuming
+    /// transitions.
     fn find_extensions(&mut self, b_new: ConditionId, earlier_siblings: &[ConditionId]) {
         let place = self.conditions[b_new.index()].place;
-        let net = self.stg.net();
-        let transitions: Vec<TransitionId> = net.place_postset(place).to_vec();
-        if transitions.is_empty() {
-            return;
-        }
-        // Upper-bound the probe count: the product of partner-pool sizes
-        // per preset place, summed over transitions.
-        let estimate: u64 = transitions
-            .iter()
-            .map(|&t| {
-                net.preset(t)
-                    .iter()
-                    .map(|&p| {
-                        if p == place {
-                            1
-                        } else {
-                            self.by_place[p.index()].len().max(1) as u64
-                        }
-                    })
-                    .fold(1u64, u64::saturating_mul)
-            })
-            .fold(0u64, u64::saturating_add);
-        let presets: Vec<Vec<Vec<ConditionId>>> =
-            if transitions.len() > 1 && estimate >= PAR_EXTENSION_THRESHOLD {
-                let this: &Self = self;
-                par_map(&transitions, self.workers, |_, &t| {
-                    this.extension_presets(t, b_new, earlier_siblings)
-                })
-            } else {
-                transitions
-                    .iter()
-                    .map(|&t| self.extension_presets(t, b_new, earlier_siblings))
-                    .collect()
-            };
-        for (&t, found) in transitions.iter().zip(&presets) {
-            for preset in found {
-                self.push_candidate(t, preset.clone());
+        for &t in self.stg.net().place_postset(place) {
+            for preset in self.extension_presets(t, b_new, earlier_siblings) {
+                self.push_candidate(t, preset);
             }
         }
     }
 
     /// Collects every co-set of `t`'s preset places that contains `b_new`.
-    /// Pure (no mutation), so it can run on a worker thread.
     fn extension_presets(
         &self,
         t: TransitionId,
@@ -916,37 +863,6 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_segment() {
-        for stg in [paper_fig1(), muller_pipeline(6)] {
-            let base = StgUnfolding::build(
-                &stg,
-                &UnfoldingOptions {
-                    workers: Some(1),
-                    ..Default::default()
-                },
-            )
-            .expect("builds");
-            for workers in [None, Some(2), Some(4)] {
-                let other = StgUnfolding::build(
-                    &stg,
-                    &UnfoldingOptions {
-                        workers,
-                        ..Default::default()
-                    },
-                )
-                .expect("builds");
-                assert_eq!(other.event_count(), base.event_count());
-                for (a, b) in base.events().zip(other.events()) {
-                    assert_eq!(base.transition(a), other.transition(b));
-                    assert_eq!(base.preset(a), other.preset(b));
-                    assert_eq!(base.is_cutoff(a), other.is_cutoff(b));
-                    assert_eq!(base.code(a), other.code(b));
-                }
-            }
-        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use si_synth::cubes::minimize;
 use si_synth::stategraph::{
-    check_csc, check_persistency, on_off_sets, synthesize_from_sg, SgError, SgSynthesisOptions,
-    StateGraph,
+    check_csc, check_persistency, on_off_sets, synthesize_from_sg, SgEngine, SgError,
+    SgSynthesisOptions, StateGraph,
 };
 use si_synth::stg::suite::{synthesisable, vme_read_no_csc};
 use si_synth::stg::{generators, Stg};
@@ -143,19 +143,32 @@ fn implicit_sets_match_explicit_minterm_gates_across_the_suite() {
 
 #[test]
 fn csc_verdicts_agree_between_flows() {
+    // Every flow that checks CSC on exact point sets, and approximate mode
+    // after refinement, blames the same signal with the same witness: the
+    // canonically smallest code its on- and off-sets share (the witness
+    // the Set/Reset flow reports too).
     let stg = vme_read_no_csc();
-    let unf_err = synthesize_from_unfolding(&stg, &SynthesisOptions::default()).unwrap_err();
-    assert!(matches!(unf_err, SynthesisError::CscViolation { .. }));
-    let sg_err = synthesize_from_sg(&stg, &SgSynthesisOptions::default()).unwrap_err();
-    assert!(matches!(sg_err, SgError::CscViolation { .. }));
-    // Both name the same (first) offending signal class; at minimum both
-    // must blame an output of the controller.
-    let unf_sig = match unf_err {
-        SynthesisError::CscViolation { signal, .. } => signal,
-        _ => unreachable!(),
-    };
-    let outputs = ["lds", "d", "dtack"];
-    assert!(outputs.contains(&unf_sig.as_str()));
+    for options in [exact(), SynthesisOptions::default()] {
+        let err = synthesize_from_unfolding(&stg, &options).unwrap_err();
+        assert!(
+            matches!(&err, SynthesisError::CscViolation { signal, witness }
+                if signal == "lds" && witness == "11100"),
+            "{:?}: got {err:?}",
+            options.mode
+        );
+    }
+    for engine in [SgEngine::Explicit, SgEngine::Symbolic] {
+        let options = SgSynthesisOptions {
+            engine,
+            ..SgSynthesisOptions::default()
+        };
+        let err = synthesize_from_sg(&stg, &options).unwrap_err();
+        assert!(
+            matches!(&err, SgError::CscViolation { signal, code }
+                if signal == "lds" && code == "11100"),
+            "{engine:?}: got {err:?}"
+        );
+    }
 }
 
 #[test]
